@@ -41,12 +41,19 @@ class Unknot:
 
 @dataclass(frozen=True)
 class TorusKnot:
+    """T(p,q), stored canonically with 2 <= p <= q, since T(p,q) = T(q,p)."""
+
     p: int
     q: int
 
     def __post_init__(self):
-        if self.p < 1 or self.q < 1:
-            raise KnotSemanticError("torus knot parameters must be positive")
+        p, q = sorted((self.p, self.q))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        if p < 2:
+            raise KnotSemanticError(
+                f"T({self.p},{self.q}) needs both parameters >= 2 (T(1,q) is the unknot)"
+            )
         if gcd(self.p, self.q) != 1:
             raise KnotSemanticError(
                 f"T({self.p},{self.q}) is not a knot (gcd={gcd(self.p, self.q)})"

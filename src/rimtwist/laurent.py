@@ -9,6 +9,7 @@ resultant against t^d - 1 used by the branched-cover order formula.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from math import gcd
 
 
 class LaurentPoly:
@@ -320,39 +321,110 @@ def int_det(matrix: Sequence[Sequence[int]]) -> int:
                     break
             else:
                 return 0
-        pivot = m[k][k]
+        row_k = m[k]
+        pivot = row_k[k]
+        tail_k = row_k[k + 1 :]
         for i in range(k + 1, n):
-            head = m[i][k]
-            for j in range(k + 1, n):
-                m[i][j] = (pivot * m[i][j] - head * m[k][j]) // prev
-            m[i][k] = 0
+            row_i = m[i]
+            head = row_i[k]
+            if head:
+                row_i[k + 1 :] = [
+                    (pivot * a - head * b) // prev for a, b in zip(row_i[k + 1 :], tail_k)
+                ]
+            else:
+                row_i[k + 1 :] = [pivot * a // prev for a in row_i[k + 1 :]]
         prev = pivot
     return sign * m[n - 1][n - 1]
+
+
+def _reduce(p: list[int], g: list[int]) -> tuple[list[int], int]:
+    """Integer pseudo-remainder: (r, k) with k * p = r (mod g) and deg r < deg g.
+
+    Coefficient lists are ascending.  Each step cancels the leading
+    term of p after scaling p by |c| / gcd(lead, c), where c is the
+    leading coefficient of g, so k divides a power of c and is 1
+    whenever c = +-1.  (Knuth, TAOCP vol. 2, 4.6.1.)
+    """
+    e = len(g) - 1
+    c = g[-1]
+    p = list(p)
+    k = 1
+    for top in range(len(p) - 1, e - 1, -1):
+        a = p[top]
+        if a == 0:
+            continue
+        h = gcd(a, c) if c > 0 else -gcd(a, c)
+        s = c // h
+        if s != 1:
+            p = [s * x for x in p[:top]]
+            k *= s
+        q = a // h
+        base = top - e
+        for i in range(e):
+            p[base + i] -= q * g[i]
+    r = p[:e]
+    while r and r[-1] == 0:
+        r.pop()
+    return r, k
+
+
+def _square_mod(a: list[int], g: list[int]) -> tuple[list[int], int]:
+    out = [0] * (2 * len(a) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(a):
+                out[i + j] += x * y
+    return _reduce(out, g)
 
 
 def resultant_with_cyclotomic(delta: LaurentPoly, d: int) -> int:
     """Res(t^d - 1, delta'), the exact integer product of delta over d-th roots of unity.
 
     delta' is the unit normalization of delta (min_exp = 0, positive
-    constant term); since t^d - 1 is monic the Sylvester determinant
-    equals the product of delta'(w) over all w with w^d = 1.  A zero
-    value signals a root of delta among the d-th roots of unity.
+    constant term) of degree e and leading coefficient c.  A zero value
+    signals a root of delta among the d-th roots of unity.
+
+    t^d - 1 is first reduced modulo delta' by square-and-multiply, in
+    integers: the remainder is kept as R / D with D dividing a power of
+    c.  Then Res(t^d - 1, delta') = (-1)^((d - k)e) c^(d - k)
+    Res(R, delta') / D^e with k = deg R, where Res(R, delta') is the
+    Bareiss determinant of a Sylvester matrix of size e + k <= 2e - 1.
+    The whole costs O(e^2 log d) plus that determinant, instead of the
+    (d + e)-square determinant of Res(t^d - 1, delta') itself.  For
+    d < e nothing is reduced, R = t^d - 1, and the matrix is that
+    (d + e)-square one.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     if delta.is_zero():
         raise ValueError("resultant of the zero polynomial is undefined")
-    g = delta.normalize()
-    e = g.max_exp
+    g = list(delta.normalize().coeffs)
+    e = len(g) - 1
     if e == 0:
-        return g.coeffs[0] ** d
-    # f = t^d - 1, coefficients descending
-    f_desc = [1] + [0] * (d - 1) + [-1]
-    g_desc = [g.coeff(e - i) for i in range(e + 1)]
-    size = d + e
-    rows: list[list[int]] = []
-    for i in range(e):
-        rows.append([0] * i + f_desc + [0] * (size - d - 1 - i))
-    for i in range(d):
-        rows.append([0] * i + g_desc + [0] * (size - e - 1 - i))
-    return int_det(rows)
+        return g[0] ** d
+    c = g[-1]
+    # t^d mod g as num / den, by square-and-multiply from the top bit
+    num, den = [1], 1
+    for bit in bin(d)[2:]:
+        num, scale = _square_mod(num, g)
+        den = den * den * scale
+        if bit == "1":
+            num, scale = _reduce([0] + num, g)
+            den *= scale
+        common = gcd(den, *num)
+        if common > 1:
+            num = [x // common for x in num]
+            den //= common
+    num[0] -= den  # now num / den = (t^d - 1) mod g
+    while num and num[-1] == 0:
+        num.pop()
+    if not num:
+        return 0
+    k = len(num) - 1
+    size = e + k
+    g_desc = g[::-1]
+    r_desc = num[::-1]
+    rows = [[0] * i + r_desc + [0] * (size - k - 1 - i) for i in range(e)]
+    rows += [[0] * i + g_desc + [0] * (size - e - 1 - i) for i in range(k)]
+    res = c ** (d - k) * int_det(rows) // den**e
+    return -res if (d - k) * e % 2 else res

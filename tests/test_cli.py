@@ -25,6 +25,12 @@ def test_alexander_json():
     assert json.loads(out) == {"min_exp": 0, "coeffs": [1, -1, 1]}
 
 
+def test_cover_large_d_json():
+    code, out, err = _run(["cover", "T(2,3)", "--d", "100000", "--json"])
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"d": 100000, "order": 3}
+
+
 def test_cover_text():
     code, out, _ = _run(["cover", "T(2,3)", "--d", "2"])
     assert code == 0 and out.strip() == "order 3"

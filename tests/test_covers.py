@@ -18,6 +18,12 @@ def test_branched_cover_order_examples():
         rt.branched_cover_order(trefoil, 0)
 
 
+def test_branched_cover_order_large_d():
+    trefoil = rt.torus_alexander(2, 3)
+    orders = [rt.branched_cover_order(trefoil, d) for d in range(10**5, 10**5 + 6)]
+    assert orders == [3, 1, INFINITE, 1, 3, 4]
+
+
 def test_branched_cover_structure_examples():
     tre = rt.presentation_of_knot(TREFOIL)
     assert rt.branched_cover_structure(tre, 2) == AbelianInvariants(0, (3,))

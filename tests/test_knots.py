@@ -42,6 +42,18 @@ def test_torus_normalizes_to_unknot():
     assert parse_knot("T(7,1)") == Unknot()
 
 
+def test_torus_knot_is_canonical():
+    assert TorusKnot(3, 2) == TorusKnot(2, 3)
+    assert (TorusKnot(7, 4).p, TorusKnot(7, 4).q) == (4, 7)
+    assert parse_knot("T(3,2)") == TorusKnot(2, 3)
+    assert render(TorusKnot(3, 2)) == "T(2,3)"
+    for p, q in ((1, 5), (5, 1), (0, 3), (-2, 3)):
+        with pytest.raises(KnotSemanticError):
+            TorusKnot(p, q)
+    with pytest.raises(KnotSemanticError, match="gcd=3"):
+        TorusKnot(6, 3)
+
+
 def test_parse_rejects_links():
     with pytest.raises(KnotSemanticError, match="gcd=2"):
         parse_knot("T(2,4)")

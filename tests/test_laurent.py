@@ -1,7 +1,9 @@
 import random
+from math import gcd
 
 import pytest
 
+from rimtwist.alexander import torus_alexander
 from rimtwist.laurent import (
     LaurentPoly,
     int_det,
@@ -204,3 +206,97 @@ def test_resultant_unit_invariance():
         shifted = f.shift(unit_shift)
         assert resultant_with_cyclotomic(shifted, 4) == resultant_with_cyclotomic(f, 4)
         assert resultant_with_cyclotomic(shifted.scale(-1), 4) == resultant_with_cyclotomic(f, 4)
+
+
+def _sylvester_resultant(delta, d):
+    """Oracle: the (d + e)-square Sylvester determinant of t^d - 1 and delta'."""
+    g = delta.normalize()
+    e = g.max_exp
+    if e == 0:
+        return g.coeffs[0] ** d
+    f_desc = [1] + [0] * (d - 1) + [-1]
+    g_desc = [g.coeff(e - i) for i in range(e + 1)]
+    size = d + e
+    rows = [[0] * i + f_desc + [0] * (size - d - 1 - i) for i in range(e)]
+    rows += [[0] * i + g_desc + [0] * (size - e - 1 - i) for i in range(d)]
+    return int_det(rows)
+
+
+def _oracle_degrees(e, d_max, extra=()):
+    """1..d_max, the boundary values around e and 2e, and any extras."""
+    degrees = {*range(1, d_max + 1), e - 1, e, e + 1, 2 * e, 2 * e + 1, *extra}
+    return sorted(d for d in degrees if d >= 1)
+
+
+# the trefoil; non-monic polynomials, one of them (2t^2 - 3t + 2)(t^2 - t + 1);
+# 2 - 3t, whose leading coefficient is negative; constants
+NAMED_POLYS = [
+    torus_alexander(2, 3),
+    P(0, 2, -3, 2),
+    P(0, 2, -5, 7, -5, 2),
+    P(0, 2, -3),
+    P(0, 1),
+    P(-2, -3),
+    P(0, 2),
+]
+
+
+def test_resultant_sylvester_oracle_named():
+    zeros = set()
+    for i, f in enumerate(NAMED_POLYS):
+        for d in _oracle_degrees(f.normalize().max_exp, 60, extra=(97, 241)):
+            r = resultant_with_cyclotomic(f, d)
+            assert r == _sylvester_resultant(f, d), (f, d)
+            if r == 0:
+                zeros.add((i, d))
+    # a sixth root of unity is a root of exactly the polynomials with the trefoil factor
+    assert zeros == {(i, d) for i in (0, 2) for d in range(6, 61, 6)}
+
+
+def test_resultant_sylvester_oracle_torus():
+    for p in range(2, 5):
+        for q in range(p + 1, 10):
+            if gcd(p, q) != 1:
+                continue
+            delta = torus_alexander(p, q)
+            for f in (delta, delta * delta):
+                for d in _oracle_degrees(f.max_exp, 30):
+                    assert resultant_with_cyclotomic(f, d) == _sylvester_resultant(f, d), (p, q, d)
+
+
+def test_resultant_sylvester_oracle_random():
+    rng = random.Random(43)
+    count = 0
+    while count < 40:
+        f = P(rng.randint(-3, 3), *[rng.randint(-5, 5) for _ in range(rng.randint(1, 9))])
+        if f.is_zero():
+            continue
+        count += 1
+        for d in _oracle_degrees(f.normalize().max_exp, 30):
+            assert resultant_with_cyclotomic(f, d) == _sylvester_resultant(f, d), (f, d)
+
+
+def _lucas(n):
+    """L_n by fast doubling on Fibonacci pairs (F_k, F_k+1)."""
+    a, b = 0, 1
+    for bit in bin(n)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
+    return 2 * b - a
+
+
+def test_resultant_large_d_figure_eight():
+    # prod over w^d = 1 of (w - phi^2)(w - phi^-2) = 2 - L_2d
+    d = 10**5
+    assert resultant_with_cyclotomic(P(0, 1, -3, 1), d) == 2 - _lucas(2 * d)
+
+
+def test_resultant_large_d_non_monic():
+    # 2t^2 - 3t + 2 = 2(t - a)(t - b) with a + b = 3/2 and ab = 1, so the
+    # product is 2^d (2 - a^d - b^d) = 2^(d+1) - u_d with u_d = 2^d (a^d + b^d)
+    d = 2 * 10**4
+    u, u_next = 2, 3
+    for _ in range(d):
+        u, u_next = u_next, 3 * u_next - 4 * u
+    assert resultant_with_cyclotomic(P(0, 2, -3, 2), d) == 2 ** (d + 1) - u

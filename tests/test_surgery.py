@@ -89,6 +89,9 @@ def test_ribbon_certificate():
     assert rt.ribbon_certificate(rt.parse_knot("mirror(mirror(unknot))")) == "certified"
     double = rt.parse_knot("mirror(mirror(T(2,3)))#mirror(T(2,3))")
     assert rt.ribbon_certificate(double) == "certified"
+    # T(3,2) is T(2,3), so the summands pair off
+    assert rt.ribbon_certificate(rt.parse_knot("T(2,3)#mirror(T(3,2))")) == "certified"
+    assert rt.ribbon_certificate(rt.parse_knot("T(5,2)#mirror(T(2,5))")) == "certified"
 
 
 def test_classify_flagship_example():
