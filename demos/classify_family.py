@@ -39,7 +39,7 @@ print(f"  topologically standard: {bad.topologically_standard} "
 
 print()
 print("=== sweeping the family ===")
-reports = rt.enumerate_examples(3, 5, 7, 6)
+reports = list(rt.enumerate_examples(3, 5, 7, 6))
 print(f"  bounds p<=3, q<=5, d<=7, m<=6 give {len(reports)} rows; every row is")
 print("  smoothly knotted and topologically standard:")
 for r in reports:

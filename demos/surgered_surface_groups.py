@@ -23,16 +23,17 @@ print("=== d=2 with even m: the group remembers the knot ===")
 table = rt.todd_coxeter(twisted)
 print(f"  enumeration completes with order {table.order} (Z/2 would have order 2)")
 print(f"  abelianization: {rt.abelianization(twisted)}")
-print(f"  so there is a nontrivial index-2 subgroup: is_cyclic_of_order(..., 2) = "
-      f"{rt.is_cyclic_of_order(twisted, 2)!r}")
+verdict, not_cyclic = rt.cyclic_verdict(twisted, 2)
+print("  so there is a nontrivial index-2 subgroup:")
+print(f"  cyclic_verdict(..., 2) = {verdict}, proven not Z/2: {not_cyclic}")
 
 print()
 print("=== d = +/-1 mod m: the group collapses to Z/d ===")
 for knot_name, pres in [("trefoil", trefoil), ("figure-eight", fig8)]:
     for d, m in [(3, 2), (5, 4), (7, 6), (7, 8)]:
         q = rt.twist_rim_presentation(pres, d, m)
-        verdict = rt.is_cyclic_of_order(q, d)
-        print(f"  {knot_name:13s} d={d} m={m}: Z/{d}? {verdict}")
+        verdict, _ = rt.cyclic_verdict(q, d)
+        print(f"  {knot_name:13s} d={d} m={m}: {verdict}")
 
 print()
 print("=== coset budgets make stubborn cases honest ===")

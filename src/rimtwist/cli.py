@@ -67,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--qmax", type=int, required=True)
     p_search.add_argument("--dmax", type=int, required=True)
     p_search.add_argument("--mmax", type=int, required=True)
-    p_search.add_argument("--budget", type=int, default=DEFAULT_COSET_BUDGET)
     p_search.add_argument("--json", action="store_true")
 
     return parser
@@ -132,10 +131,7 @@ def run(argv: list[str], out=None, err=None) -> int:
             pres = presentation_of_knot(parse_knot(args.knot))
             verdict, _ = determine_pi1(pres, args.d, args.m, args.budget)
             if args.json:
-                obj: dict = {"kind": verdict.kind, "certificate": verdict.certificate}
-                if verdict.order is not None:
-                    obj["order"] = verdict.order
-                print(json.dumps(obj, sort_keys=True), file=out)
+                print(json.dumps(verdict.to_json(), sort_keys=True), file=out)
             else:
                 print(str(verdict), file=out)
             if args.strict and verdict.kind == "undetermined":
@@ -150,7 +146,7 @@ def run(argv: list[str], out=None, err=None) -> int:
             order = branched_cover_order(delta, args.d)
             structure = branched_cover_structure(pres, args.d) if args.structure else None
             if args.json:
-                obj = {
+                obj: dict = {
                     "d": args.d,
                     "order": "infinite" if order is INFINITE else order,
                 }
@@ -166,7 +162,7 @@ def run(argv: list[str], out=None, err=None) -> int:
                     file=out,
                 )
                 if structure is not None:
-                    print(f"structure {_structure_text(structure)}", file=out)
+                    print(f"structure {structure}", file=out)
             return 0
 
         if args.command == "classify":
@@ -186,9 +182,7 @@ def run(argv: list[str], out=None, err=None) -> int:
             return 0
 
         if args.command == "search":
-            for report in enumerate_examples(
-                args.pmax, args.qmax, args.dmax, args.mmax, args.budget
-            ):
+            for report in enumerate_examples(args.pmax, args.qmax, args.dmax, args.mmax):
                 if args.json:
                     print(json.dumps(report.to_json(), sort_keys=True), file=out)
                 else:
@@ -199,11 +193,6 @@ def run(argv: list[str], out=None, err=None) -> int:
         return 2
 
     raise AssertionError("unreachable command")
-
-
-def _structure_text(structure) -> str:
-    parts = ["Z"] * structure.free_rank + [f"Z/{t}" for t in structure.torsion]
-    return " ⊕ ".join(parts) if parts else "trivial"
 
 
 def main():

@@ -3,16 +3,21 @@
 Two independent routes to the branched-cover homology: the order as a
 resultant against t^d - 1 (the product of Alexander values over d-th
 roots of unity), and the full group structure from the Alexander
-matrix with t replaced by the companion matrix of 1 + t + ... + t^(d-1).
-Using the size-(d-1) companion matrix, rather than t^d - 1, excludes
-the free summand of the unbranched cover, so the result is exactly the
-branched-cover torsion.
+matrix over Z[t]/(1 + t + ... + t^(d-1)).  Quotienting by
+1 + t + ... + t^(d-1), rather than t^d - 1, excludes the free summand
+of the unbranched cover, so the result is exactly the branched-cover
+torsion.
 
 The order costs O(e^2 log d) for an Alexander polynomial of degree e,
 plus an integer determinant of size at most 2e - 1, so d = 10^5 is
-cheap.  The structure builds a dense ((d-1) n)-square relation matrix
-for Alexander blocks of total size n, and its Smith normal form
-dominates at large d.
+cheap.  The structure replaces each entry f of the Alexander matrix by
+the (d-1)-square matrix of multiplication by f in the basis
+1, t, ..., t^(d-2), which has a closed form: fold the exponents of f
+modulo d (t^-1 = t^(d-1)) into a_0, ..., a_(d-1); then t^j f has
+coefficient a_((k-j) mod d) - a_((d-1-j) mod d) at t^k, since t^(d-1)
+reduces to -(1 + t + ... + t^(d-2)).  For Alexander blocks of total
+size n the relation matrix is dense and ((d-1) n)-square, and its Smith
+normal form dominates at large d.
 """
 
 from __future__ import annotations
@@ -55,70 +60,28 @@ def branched_cover_order(delta: LaurentPoly, d: int) -> int | Infinite:
     return abs(r) if r != 0 else INFINITE
 
 
-def _companion_powers(d: int) -> tuple[list[list[int]], list[list[int]]]:
-    """Companion matrix of 1 + t + ... + t^(d-1) and its integer inverse."""
-    e = d - 1
-    c = [[0] * e for _ in range(e)]
-    for j in range(e - 1):
-        c[j + 1][j] = 1
-    for i in range(e):
-        c[i][e - 1] = -1
-    cinv = [[0] * e for _ in range(e)]
-    for j in range(1, e):
-        cinv[j - 1][j] = 1
-    for i in range(e):
-        cinv[i][0] = -1
-    return c, cinv
+def _cover_block(entry: LaurentPoly, d: int) -> list[list[int]]:
+    """Matrix of multiplication by ``entry`` on Z[t]/(1 + t + ... + t^(d-1)).
 
-
-def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        for k in range(n):
-            v = ai[k]
-            if v:
-                bk = b[k]
-                oi = out[i]
-                for j in range(n):
-                    oi[j] += v * bk[j]
-    return out
-
-
-def _power(powers: dict[int, list[list[int]]], c, cinv, k: int) -> list[list[int]]:
-    if k not in powers:
-        step = 1 if k > 0 else -1
-        base = k - step
-        while base not in powers:
-            base -= step
-        mat = powers[base]
-        while base != k:
-            mat = _mat_mul(mat, c if step > 0 else cinv)
-            base += step
-            powers[base] = mat
-    return powers[k]
-
-
-def _substitute_companion(entry: LaurentPoly, powers: dict[int, list[list[int]]],
-                          c: list[list[int]], cinv: list[list[int]], e: int) -> list[list[int]]:
-    out = [[0] * e for _ in range(e)]
+    Column j holds t^j * entry in the basis 1, t, ..., t^(d-2).
+    """
+    a = [0] * d
     for i, coeff in enumerate(entry.coeffs):
-        if not coeff:
-            continue
-        pk = _power(powers, c, cinv, entry.min_exp + i)
-        for r in range(e):
-            for s in range(e):
-                out[r][s] += coeff * pk[r][s]
-    return out
+        a[(entry.min_exp + i) % d] += coeff
+    e = d - 1
+    last = [a[(e - j) % d] for j in range(e)]
+    return [[a[(k - j) % d] - last[j] for j in range(e)] for k in range(e)]
 
 
 def branched_cover_structure(p: GroupPresentation, d: int) -> AbelianInvariants:
     """H1 of the d-fold branched cover as an abelian group.
 
-    Substitutes the size-(d-1) companion matrix for t in the square
-    Alexander matrix of the presentation and takes the Smith normal
-    form of the resulting integer relation matrix.
+    Replaces each entry f of the square Alexander matrix of the
+    presentation by its (d-1)-square multiplication block on
+    Z[t]/(1 + t + ... + t^(d-1)), whose entry in row k and column j is
+    a_((k-j) mod d) - a_((d-1-j) mod d) for the coefficients a of f
+    folded modulo t^d - 1, and takes the Smith normal form of the
+    resulting integer relation matrix.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -127,8 +90,6 @@ def branched_cover_structure(p: GroupPresentation, d: int) -> AbelianInvariants:
     blocks, free_columns = reduced_alexander_blocks(p)
     if e == 0:
         return AbelianInvariants(free_rank=0, torsion=())
-    c, cinv = _companion_powers(d)
-    powers: dict[int, list[list[int]]] = {0: [[1 if i == j else 0 for j in range(e)] for i in range(e)]}
     size = sum(len(b) for b in blocks) * e
     big = [[0] * size for _ in range(size)]
     offset = 0
@@ -136,11 +97,11 @@ def branched_cover_structure(p: GroupPresentation, d: int) -> AbelianInvariants:
         bn = len(block)
         for bi in range(bn):
             for bj in range(bn):
-                sub = _substitute_companion(block[bi][bj], powers, c, cinv, e)
-                for r in range(e):
-                    row = big[offset + bi * e + r]
-                    for s in range(e):
-                        row[offset + bj * e + s] = sub[r][s]
+                if block[bi][bj].is_zero():
+                    continue  # big starts at zero
+                col = offset + bj * e
+                for r, sub_row in enumerate(_cover_block(block[bi][bj], d)):
+                    big[offset + bi * e + r][col : col + e] = sub_row
         offset += bn * e
     inv = smith_invariants(big, size)
     return AbelianInvariants(

@@ -128,7 +128,7 @@ class AbelianInvariants:
 
     def __str__(self) -> str:
         parts = ["Z"] * self.free_rank + [f"Z/{t}" for t in self.torsion]
-        return " + ".join(parts) if parts else "trivial"
+        return " ⊕ ".join(parts) if parts else "trivial"
 
 
 def relator_exponent_matrix(p: GroupPresentation) -> list[list[int]]:
@@ -158,15 +158,13 @@ def abelianization(p: GroupPresentation) -> AbelianInvariants:
 class CosetTable:
     """Outcome of a bounded enumeration over the trivial subgroup.
 
-    ``status`` is "complete" or "exhausted".  When complete, ``table``
-    maps (coset, signed generator) to a coset over 0..order-1 and is
-    closed under every generator and relator.
+    ``status`` is "complete" or "exhausted"; ``order`` is the group
+    order when complete.
     """
 
     status: str
     budget: int
     order: int | None = None
-    table: dict[tuple[int, int], int] | None = None
 
     @property
     def completed(self) -> bool:
@@ -312,14 +310,8 @@ def todd_coxeter(p: GroupPresentation, budget: int = DEFAULT_COSET_BUDGET) -> Co
         return CosetTable(status="exhausted", budget=budget)
     if not enum.verify_closed():
         raise RuntimeError("enumeration finished with an unclosed table")
-    live = [i for i in range(len(enum.rows)) if enum.p[i] == i]
-    index = {c: i for i, c in enumerate(live)}
-    table: dict[tuple[int, int], int] = {}
-    for c in live:
-        for g in range(1, p.generator_count + 1):
-            table[(index[c], g)] = index[enum.rep(enum.rows[c][2 * (g - 1)])]
-            table[(index[c], -g)] = index[enum.rep(enum.rows[c][2 * (g - 1) + 1])]
-    return CosetTable(status="complete", budget=budget, order=len(live), table=table)
+    order = sum(1 for i, root in enumerate(enum.p) if root == i)
+    return CosetTable(status="complete", budget=budget, order=order)
 
 
 # -- Tietze simplification ------------------------------------------------
@@ -394,30 +386,3 @@ def tietze_simplify(p: GroupPresentation, budget: int = 100) -> GroupPresentatio
         if not changed:
             break
     return GroupPresentation(tuple(gens), tuple(relators), meridian)
-
-
-# -- combined certificates -------------------------------------------------
-
-
-def is_cyclic_of_order(
-    p: GroupPresentation, d: int, budget: int = DEFAULT_COSET_BUDGET
-) -> str:
-    """Decide whether the presented group is Z/d: "yes", "no", or "unknown".
-
-    "yes" needs a completed enumeration of order d together with
-    abelianization exactly Z/d (a finite group surjecting onto an
-    abelian group of the same order is that group).  "no" needs a
-    finite certificate: completed enumeration of a different order, or
-    an abelianization mismatch.  Budget exhaustion with a consistent
-    abelianization gives "unknown".
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    ab = abelianization(p)
-    expected = AbelianInvariants(free_rank=0, torsion=(d,) if d > 1 else ())
-    if ab != expected:
-        return "no"
-    ct = todd_coxeter(p, budget)
-    if ct.completed:
-        return "yes" if ct.order == d else "no"
-    return "unknown"

@@ -11,6 +11,7 @@ congruence d = +/-1 mod m.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd
 
@@ -135,6 +136,12 @@ class Pi1Verdict:
             return f"finite of order {self.order} (certificate: {self.certificate})"
         return f"undetermined ({self.certificate})"
 
+    def to_json(self) -> dict:
+        out: dict = {"kind": self.kind, "certificate": self.certificate}
+        if self.order is not None:
+            out["order"] = self.order
+        return out
+
 
 @dataclass(frozen=True)
 class SurgeryReport:
@@ -151,9 +158,6 @@ class SurgeryReport:
     cp2_genus: int | None
 
     def to_json(self) -> dict:
-        pi1: dict = {"kind": self.pi1.kind, "certificate": self.pi1.certificate}
-        if self.pi1.order is not None:
-            pi1["order"] = self.pi1.order
         smooth = {"verdict": self.smoothly_knotted, "reason": self.smoothly_knotted_reason}
         topo: dict = {"verdict": self.topologically_standard}
         if self.topologically_standard_failed is not None:
@@ -164,7 +168,7 @@ class SurgeryReport:
             "d": self.params.d,
             "m": self.params.m,
             "alexander": self.alexander.to_json(),
-            "pi1": pi1,
+            "pi1": self.pi1.to_json(),
             "smoothly_knotted": smooth,
             "topologically_standard": topo,
             "branched_cover": {"order": order},
@@ -174,19 +178,23 @@ class SurgeryReport:
         return out
 
 
-def _expected_cyclic(d: int) -> AbelianInvariants:
-    return AbelianInvariants(free_rank=0, torsion=(d,) if d > 1 else ())
-
-
-def determine_pi1(
-    p: GroupPresentation, d: int, m: int, budget: int
+def cyclic_verdict(
+    group: GroupPresentation, d: int, budget: int = DEFAULT_COSET_BUDGET
 ) -> tuple[Pi1Verdict, bool]:
-    """Pi1 verdict plus whether the group is proven different from Z/d."""
-    if congruent_pm1(d, m):
-        return Pi1Verdict("cyclic", d, "congruence"), False
-    twisted = twist_rim_presentation(p, d, m)
-    ab_ok = abelianization(twisted) == _expected_cyclic(d)
-    table = todd_coxeter(twisted, budget)
+    """Whether a presented group is Z/d, plus whether it is proven not to be.
+
+    Cyclic needs a completed enumeration of order d together with
+    abelianization exactly Z/d (a finite group surjecting onto an
+    abelian group of the same order is that group).  A completed
+    enumeration of another order, or an abelianization other than Z/d,
+    proves the group is not Z/d.  Budget exhaustion with a consistent
+    abelianization decides nothing.
+    """
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    expected = AbelianInvariants(free_rank=0, torsion=(d,) if d > 1 else ())
+    ab_ok = abelianization(group) == expected
+    table = todd_coxeter(group, budget)
     if table.completed:
         if table.order == d and ab_ok:
             return Pi1Verdict("cyclic", d, "coset-enumeration"), False
@@ -194,6 +202,17 @@ def determine_pi1(
     if not ab_ok:
         return Pi1Verdict("undetermined", None, "abelianization-mismatch"), True
     return Pi1Verdict("undetermined", None, "budget-exhausted"), False
+
+
+def determine_pi1(
+    p: GroupPresentation, d: int, m: int, budget: int
+) -> tuple[Pi1Verdict, bool]:
+    """Pi1 verdict plus whether the group is proven different from Z/d."""
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    if congruent_pm1(d, m):
+        return Pi1Verdict("cyclic", d, "congruence"), False
+    return cyclic_verdict(twist_rim_presentation(p, d, m), d, budget)
 
 
 def classify(
@@ -206,10 +225,9 @@ def classify(
     """
     d, m = params.d, params.m
     pres = presentation_of_knot(k)
+    pi1, proven_not_cyclic = determine_pi1(pres, d, m, budget)
     delta = alexander_polynomial(pres)
     nontrivial_delta = delta != LaurentPoly.one()
-
-    pi1, proven_not_cyclic = determine_pi1(pres, d, m, budget)
     obstruction = proven_not_cyclic
     if d == 2 and m % 2 == 0 and nontrivial_delta:
         # the double branched cover of a nontrivial knot has nontrivial
@@ -270,24 +288,21 @@ def classify(
 
 
 def enumerate_examples(
-    p_max: int,
-    q_max: int,
-    d_max: int,
-    m_max: int,
-    budget: int = DEFAULT_COSET_BUDGET,
-) -> list[SurgeryReport]:
+    p_max: int, q_max: int, d_max: int, m_max: int
+) -> Iterator[SurgeryReport]:
     """The family of smoothly knotted, topologically standard surfaces.
 
     Sweeps torus knots J = T(p,q) with p < q, forms the ribbon knot
     J # mirror(J), and keeps (d, m) with d coprime to p and q,
     d = +/-1 mod m, and m >= 2.  Every emitted report is smoothly
     knotted (the Seiberg-Witten flag is asserted for the family) and
-    topologically standard.  Rows come out in lexicographic (p,q,d,m)
-    order.
+    topologically standard; the congruence decides pi1, so no coset
+    budget is involved.  Reports are yielded as they are classified, in
+    lexicographic (p,q,d,m) order; the bounds are checked at the first
+    ``next``.
     """
     if min(p_max, q_max, d_max, m_max) < 2:
         raise ValueError("all bounds must be >= 2")
-    reports: list[SurgeryReport] = []
     for p in range(2, p_max + 1):
         for q in range(p + 1, q_max + 1):
             if gcd(p, q) != 1:
@@ -300,5 +315,4 @@ def enumerate_examples(
                     if not congruent_pm1(d, m):
                         continue
                     params = SurgeryParams(d=d, m=m, sw_nontrivial=True)
-                    reports.append(classify(knot, params, budget))
-    return reports
+                    yield classify(knot, params)

@@ -6,16 +6,9 @@ generator and ``-k`` for its inverse.  Indices are 1-based.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 Word = tuple[int, ...]
-
-
-def word(letters: Iterable[int]) -> Word:
-    w = tuple(letters)
-    if any(x == 0 for x in w):
-        raise ValueError("word letters must be nonzero integers")
-    return w
 
 
 def invert(w: Sequence[int]) -> Word:
@@ -65,11 +58,6 @@ def substitute(w: Sequence[int], gen: int, image: Sequence[int]) -> Word:
             else:
                 out.append(y)
     return tuple(out)
-
-
-def exponent_sum(w: Sequence[int], gen: int) -> int:
-    """Signed number of occurrences of ``gen`` (total degree in abelianization)."""
-    return sum(1 if x == gen else -1 if x == -gen else 0 for x in w)
 
 
 def total_exponent(w: Sequence[int]) -> int:

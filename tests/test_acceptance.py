@@ -111,7 +111,8 @@ def test_criterion_4_cyclic_quotient_verification():
         pres = rt.presentation_of_knot(knot)
         for d, m in pairs:
             twisted = rt.twist_rim_presentation(pres, d, m)
-            if rt.is_cyclic_of_order(twisted, d, budget=10**6) != "yes":
+            verdict = rt.cyclic_verdict(twisted, d, budget=10**6)
+            if verdict != (rt.Pi1Verdict("cyclic", d, "coset-enumeration"), False):
                 failures.append((rt.render(knot), d, m))
     elapsed = time.monotonic() - start
     _criterion(
@@ -128,11 +129,11 @@ def test_criterion_5_index_two_subgroup():
     twisted = rt.twist_rim_presentation(tre, 2, 2)
     table = rt.todd_coxeter(twisted)
     ab = rt.abelianization(twisted)
-    verdict = rt.is_cyclic_of_order(twisted, 2)
+    verdict = rt.cyclic_verdict(twisted, 2)
     ok = (
         table.completed
         and table.order == 6
-        and verdict == "no"
+        and verdict == (rt.Pi1Verdict("finite", 6, "coset-enumeration"), True)
         and ab == rt.AbelianInvariants(0, (2,))
         and table.order // 2 == 3  # the kernel of the Z/2 quotient is nontrivial
     )

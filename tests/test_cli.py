@@ -72,6 +72,22 @@ def test_pi1_text_and_strict():
     assert code == 3
 
 
+def test_budget_rejected_on_every_input():
+    # d = 5 is +-1 mod 4, so the congruence decides pi1 without enumerating;
+    # a bad budget must still be refused, before any output
+    for budget in ("0", "-7"):
+        for command in ("pi1", "classify"):
+            code, out, err = _run(
+                [command, "T(2,3)", "--d", "5", "--m", "4", "--budget", budget, "--json"]
+            )
+            assert code == 2 and out == "" and "budget" in err
+    # search never enumerates cosets, so it takes no budget
+    code, out, _ = _run(
+        ["search", "--pmax", "2", "--qmax", "3", "--dmax", "5", "--mmax", "4", "--budget", "5"]
+    )
+    assert code == 2 and out == ""
+
+
 def test_classify_golden_json():
     code, out, _ = _run(
         ["classify", "T(2,3)#mirror(T(2,3))", "--d", "5", "--m", "4", "--cp2", "--json"]
@@ -106,6 +122,10 @@ def test_search_streams_deterministic_rows():
 
     code, js, _ = _run(["search", "--pmax", "3", "--qmax", "3", "--dmax", "3", "--mmax", "3", "--json"])
     assert code == 0 and js == ""  # empty row set at these bounds
+
+    # bounds are checked before any row is written
+    code, out, err = _run(["search", "--pmax", "1", "--qmax", "5", "--dmax", "7", "--mmax", "8"])
+    assert code == 2 and out == "" and "bounds" in err
 
 
 def test_search_json_lines():

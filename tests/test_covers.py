@@ -1,10 +1,96 @@
+import random
 from math import gcd
 
 import pytest
 
 import rimtwist as rt
-from rimtwist import INFINITE, AbelianInvariants
+from rimtwist import INFINITE, AbelianInvariants, LaurentPoly
+from rimtwist.alexander import reduced_alexander_blocks
+from rimtwist.covers import _cover_block
 from helpers import FIGURE_EIGHT, SMALL_CORPUS, TREFOIL, TREFOIL_SUM
+
+
+# -- reference oracle: substitute the companion matrix of 1 + t + ... + t^(d-1)
+
+
+def _companion_powers(d):
+    """Companion matrix of 1 + t + ... + t^(d-1) and its integer inverse."""
+    e = d - 1
+    c = [[0] * e for _ in range(e)]
+    for j in range(e - 1):
+        c[j + 1][j] = 1
+    for i in range(e):
+        c[i][e - 1] = -1
+    cinv = [[0] * e for _ in range(e)]
+    for j in range(1, e):
+        cinv[j - 1][j] = 1
+    for i in range(e):
+        cinv[i][0] = -1
+    return c, cinv
+
+
+def _mat_mul(a, b):
+    n = len(a)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for k in range(n):
+            if a[i][k]:
+                for j in range(n):
+                    out[i][j] += a[i][k] * b[k][j]
+    return out
+
+
+def _power(powers, c, cinv, k):
+    if k not in powers:
+        step = 1 if k > 0 else -1
+        base = k - step
+        while base not in powers:
+            base -= step
+        mat = powers[base]
+        while base != k:
+            mat = _mat_mul(mat, c if step > 0 else cinv)
+            base += step
+            powers[base] = mat
+    return powers[k]
+
+
+def _substitute_companion(entry, d, powers):
+    """entry(C) for the companion matrix C, with C^k from a shared power cache."""
+    e = d - 1
+    c, cinv = _companion_powers(d)
+    out = [[0] * e for _ in range(e)]
+    for i, coeff in enumerate(entry.coeffs):
+        pk = _power(powers, c, cinv, entry.min_exp + i)
+        for r in range(e):
+            for s in range(e):
+                out[r][s] += coeff * pk[r][s]
+    return out
+
+
+def test_cover_block_matches_companion_substitution():
+    rng = random.Random(59)
+    for d in range(2, 41):
+        e = d - 1
+        powers = {0: [[int(i == j) for j in range(e)] for i in range(e)]}
+        entries = [LaurentPoly.zero(), LaurentPoly.t_power(-1), LaurentPoly.t_power(d, 3)]
+        for _ in range(6):
+            # exponents from below -d to beyond d, zeros inside
+            lo = rng.randint(-2 * d, d)
+            coeffs = [rng.choice((0, 0, rng.randint(-5, 5))) for _ in range(rng.randint(1, 2 * d))]
+            entries.append(LaurentPoly(lo, coeffs))
+        for entry in entries:
+            assert _cover_block(entry, d) == _substitute_companion(entry, d, powers), (entry, d)
+
+
+def test_cover_block_matches_companion_substitution_on_t57():
+    blocks, _ = reduced_alexander_blocks(rt.presentation_of_knot(rt.parse_knot("T(5,7)")))
+    entries = {entry for block in blocks for row in block for entry in row}
+    assert any(entry.is_zero() for entry in entries)
+    for d in (2, 7, 24):
+        e = d - 1
+        powers = {0: [[int(i == j) for j in range(e)] for i in range(e)]}
+        for entry in entries:
+            assert _cover_block(entry, d) == _substitute_companion(entry, d, powers), (entry, d)
 
 
 def test_branched_cover_order_examples():

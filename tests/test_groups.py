@@ -5,8 +5,8 @@ from math import gcd
 import pytest
 
 import rimtwist as rt
-from rimtwist import AbelianInvariants, GroupPresentation
-from rimtwist.groups import smith_invariants
+from rimtwist import AbelianInvariants, GroupPresentation, Pi1Verdict
+from rimtwist.groups import _Enumerator, _word_to_cols, smith_invariants
 from helpers import FIGURE_EIGHT, TREFOIL
 
 
@@ -59,6 +59,26 @@ def test_smith_against_minor_gcd_oracle():
             assert b % a == 0
 
 
+def test_smith_against_sympy_oracle():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(53)
+    for i in range(60):
+        nrows = rng.randint(1, 7)
+        ncols = rng.randint(1, 7)
+        mat = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)]
+        if i % 3 == 0 and nrows > 1:
+            # singular: one row a combination of two others
+            mat[-1] = [2 * x - 3 * y for x, y in zip(mat[0], mat[-2])]
+        expected = [
+            abs(int(v))
+            for v in invariant_factors(sympy.Matrix(mat), domain=sympy.ZZ)
+            if v != 0
+        ]
+        assert smith_invariants(mat, ncols) == expected, mat
+
+
 def test_smith_shuffle_invariance():
     rng = random.Random(43)
     base = [[rng.randint(-6, 6) for _ in range(4)] for _ in range(3)]
@@ -88,6 +108,8 @@ def test_abelian_invariants_validation():
         AbelianInvariants(0, (1,))
     assert AbelianInvariants(0, (2, 4)).order() == 8
     assert AbelianInvariants(1, ()).order() is None
+    assert str(AbelianInvariants(1, (2, 4))) == "Z ⊕ Z/2 ⊕ Z/4"
+    assert str(AbelianInvariants(0, ())) == "trivial"
 
 
 def test_todd_coxeter_finite_groups():
@@ -116,14 +138,16 @@ def test_todd_coxeter_trefoil_quotients():
 
 def test_todd_coxeter_table_closure():
     s3 = GroupPresentation(("a", "b"), ((1, 1), (2, 2), (1, 2, 1, 2, 1, 2)), 1)
-    table = rt.todd_coxeter(s3)
-    assert table.table is not None
-    for c in range(table.order):
-        for g in (1, -1, 2, -2):
-            assert (c, g) in table.table
-        # relators fix every coset
-        x = table.table[(table.table[(c, 1)], 1)]
-        assert x == c
+    enum = _Enumerator(2, [_word_to_cols(r) for r in s3.relators], 10**6)
+    enum.run()
+    live = [c for c in range(len(enum.rows)) if enum.p[c] == c]
+    assert len(live) == rt.todd_coxeter(s3).order == 6
+    assert enum.verify_closed()
+    for c in live:
+        # every signed generator is defined, and a^2 fixes every coset
+        assert all(x is not None for x in enum.rows[c])
+        a = enum.rep(enum.rows[c][0])
+        assert enum.rep(enum.rows[a][0]) == c
 
 
 def test_todd_coxeter_budget_exhaustion():
@@ -181,28 +205,39 @@ def test_tietze_preserves_enumerated_order():
     assert rt.todd_coxeter(simplified).order == rt.todd_coxeter(quotient).order == 6
 
 
-def test_is_cyclic_of_order():
+def test_cyclic_verdict():
     fig8 = rt.presentation_of_knot(FIGURE_EIGHT)
-    assert rt.is_cyclic_of_order(rt.twist_rim_presentation(fig8, 3, 2), 3) == "yes"
+    assert rt.cyclic_verdict(rt.twist_rim_presentation(fig8, 3, 2), 3) == (
+        Pi1Verdict("cyclic", 3, "coset-enumeration"), False
+    )
 
     tre = rt.presentation_of_knot(TREFOIL)
-    assert rt.is_cyclic_of_order(rt.twist_rim_presentation(tre, 2, 2), 2) == "no"
+    assert rt.cyclic_verdict(rt.twist_rim_presentation(tre, 2, 2), 2) == (
+        Pi1Verdict("finite", 6, "coset-enumeration"), True
+    )
 
     for d in (1, 2, 5, 12):
         cyclic = GroupPresentation(("g",), ((1,) * d,), 1)
-        assert rt.is_cyclic_of_order(cyclic, d) == "yes"
+        assert rt.cyclic_verdict(cyclic, d) == (
+            Pi1Verdict("cyclic", d, "coset-enumeration"), False
+        )
 
     # exhaustion with consistent abelianization is inconclusive: an infinite
     # perfect group (the 2-3-7 triangle group) has trivial abelianization
     triangle = GroupPresentation(
         ("a", "b"), ((1, 1), (2, 2, 2), (1, 2) * 7), 1
     )
-    assert rt.is_cyclic_of_order(triangle, 1, budget=500) == "unknown"
+    assert rt.cyclic_verdict(triangle, 1, budget=500) == (
+        Pi1Verdict("undetermined", None, "budget-exhausted"), False
+    )
     with pytest.raises(ValueError):
-        rt.is_cyclic_of_order(tre, 0)
+        rt.cyclic_verdict(tre, 0)
 
 
-def test_is_cyclic_abelianization_certificate():
-    # abelianization Z/6 can never be Z/5: "no" without any enumeration
+def test_cyclic_verdict_abelianization_certificate():
+    # abelianization Z/6 can never be Z/5: proven not cyclic even when the
+    # budget is too small to enumerate
     cyclic6 = GroupPresentation(("g",), ((1,) * 6,), 1)
-    assert rt.is_cyclic_of_order(cyclic6, 5, budget=1) == "no"
+    assert rt.cyclic_verdict(cyclic6, 5, budget=1) == (
+        Pi1Verdict("undetermined", None, "abelianization-mismatch"), True
+    )

@@ -1,10 +1,12 @@
+import inspect
 import json
 from math import gcd
 
 import pytest
 
 import rimtwist as rt
-from rimtwist import GroupPresentation, SurgeryParams, congruent_pm1
+from rimtwist import GroupPresentation, Pi1Verdict, SurgeryParams, congruent_pm1
+from rimtwist.surgery import determine_pi1
 from helpers import FIGURE_EIGHT, TREFOIL, TREFOIL_SUM
 
 
@@ -52,9 +54,11 @@ def test_twist_rim_presentation_shape():
 def test_twist_rim_orders():
     tre = rt.presentation_of_knot(TREFOIL)
     assert rt.todd_coxeter(rt.twist_rim_presentation(tre, 2, 2)).order == 6
-    assert rt.is_cyclic_of_order(rt.twist_rim_presentation(tre, 5, 4), 5) == "yes"
+    cyclic5 = (Pi1Verdict("cyclic", 5, "coset-enumeration"), False)
+    assert rt.cyclic_verdict(rt.twist_rim_presentation(tre, 5, 4), 5) == cyclic5
     fig8 = rt.presentation_of_knot(FIGURE_EIGHT)
-    assert rt.is_cyclic_of_order(rt.twist_rim_presentation(fig8, 3, 2), 3) == "yes"
+    cyclic3 = (Pi1Verdict("cyclic", 3, "coset-enumeration"), False)
+    assert rt.cyclic_verdict(rt.twist_rim_presentation(fig8, 3, 2), 3) == cyclic3
 
 
 def test_classical_rim_surgery_m0():
@@ -75,7 +79,9 @@ def test_congruence_sweep_matches_enumeration():
                 if not congruent_pm1(d, m):
                     continue
                 p = rt.twist_rim_presentation(pres, d, m)
-                assert rt.is_cyclic_of_order(p, d) == "yes", (rt.render(knot), d, m)
+                assert rt.cyclic_verdict(p, d) == (
+                    Pi1Verdict("cyclic", d, "coset-enumeration"), False
+                ), (rt.render(knot), d, m)
 
 
 def test_ribbon_certificate():
@@ -171,7 +177,7 @@ def test_report_json_schema():
 
 
 def test_enumerate_examples_rows():
-    reports = rt.enumerate_examples(3, 5, 7, 8)
+    reports = list(rt.enumerate_examples(3, 5, 7, 8))
     rows = {
         (r.knot.left.p, r.knot.left.q, r.params.d, r.params.m) for r in reports
     }
@@ -188,16 +194,39 @@ def test_enumerate_examples_rows():
 
 
 def test_enumerate_examples_deterministic_order():
-    a = rt.enumerate_examples(3, 5, 7, 8)
-    b = rt.enumerate_examples(3, 5, 7, 8)
+    a = list(rt.enumerate_examples(3, 5, 7, 8))
+    b = list(rt.enumerate_examples(3, 5, 7, 8))
     assert [r.to_json() for r in a] == [r.to_json() for r in b]
     keys = [(r.knot.left.p, r.knot.left.q, r.params.d, r.params.m) for r in a]
     assert keys == sorted(keys)
 
 
+def test_enumerate_examples_streams():
+    # a generator: the first row arrives before the sweep is classified
+    rows = rt.enumerate_examples(4, 9, 30, 31)
+    assert inspect.isgenerator(rows)
+    first = next(rows)
+    assert first == next(rt.enumerate_examples(2, 3, 5, 4))
+    assert (rt.render(first.knot), first.params.d, first.params.m) == (
+        "T(2,3)#mirror(T(2,3))", 5, 2
+    )
+
+
+def test_determine_pi1_rejects_bad_budget():
+    tre = rt.presentation_of_knot(TREFOIL)
+    assert determine_pi1(tre, 5, 4, 1) == (
+        Pi1Verdict("cyclic", 5, "congruence"), False
+    )
+    for budget in (0, -7):
+        with pytest.raises(ValueError, match="budget"):
+            determine_pi1(tre, 5, 4, budget)
+        with pytest.raises(ValueError, match="budget"):
+            rt.classify(TREFOIL, SurgeryParams(d=5, m=4), budget=budget)
+
+
 def test_enumerate_examples_small_bounds_empty():
     # with everything bounded by 3 no admissible d survives the coprimality
     # filter, so the row set is empty (and deterministically so)
-    assert rt.enumerate_examples(3, 3, 3, 3) == []
+    assert list(rt.enumerate_examples(3, 3, 3, 3)) == []
     with pytest.raises(ValueError):
-        rt.enumerate_examples(1, 3, 3, 3)
+        list(rt.enumerate_examples(1, 3, 3, 3))
