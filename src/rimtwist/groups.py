@@ -9,7 +9,6 @@ and deterministic; enumeration that hits its coset budget reports
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from collections.abc import Sequence
 
@@ -159,137 +158,176 @@ class CosetTable:
     """Outcome of a bounded enumeration over the trivial subgroup.
 
     ``status`` is "complete" or "exhausted"; ``order`` is the group
-    order when complete.
+    order when complete.  ``live`` counts the cosets still live when
+    enumeration stopped, so it equals ``order`` on a complete table and
+    says how far an exhausted one got.
     """
 
     status: str
     budget: int
     order: int | None = None
+    live: int = 0
 
     @property
     def completed(self) -> bool:
         return self.status == "complete"
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
-class _Enumerator:
-    def __init__(self, ngens: int, relator_cols: list[list[int]], budget: int):
-        self.ngens = ngens
-        self.width = 2 * ngens
-        self.relators = relator_cols
-        self.budget = budget
-        self.rows: list[list[int | None]] = [[None] * self.width]
-        self.p = [0]
-
-    def rep(self, k: int) -> int:
-        p = self.p
-        root = k
-        while p[root] != root:
-            root = p[root]
-        while p[k] != root:
-            p[k], k = root, p[k]
-        return root
-
-    def merge(self, a: int, b: int, queue: deque):
-        a, b = self.rep(a), self.rep(b)
-        if a != b:
-            if a > b:
-                a, b = b, a
-            self.p[b] = a
-            queue.append(b)
-
-    def coincidence(self, a: int, b: int):
-        rows = self.rows
-        queue: deque = deque()
-        self.merge(a, b, queue)
-        while queue:
-            gamma = queue.popleft()
-            row = rows[gamma]
-            for x in range(self.width):
-                delta = row[x]
-                if delta is None:
-                    continue
-                rows[delta][x ^ 1] = None
-                mu = self.rep(gamma)
-                nu = self.rep(delta)
-                if rows[mu][x] is not None:
-                    self.merge(nu, rows[mu][x], queue)
-                elif rows[nu][x ^ 1] is not None:
-                    self.merge(mu, rows[nu][x ^ 1], queue)
-                else:
-                    rows[mu][x] = nu
-                    rows[nu][x ^ 1] = mu
-
-    def define(self, alpha: int, x: int) -> int:
-        if len(self.rows) >= self.budget:
-            raise _BudgetExhausted
-        beta = len(self.rows)
-        self.rows.append([None] * self.width)
-        self.p.append(beta)
-        self.rows[alpha][x] = beta
-        self.rows[beta][x ^ 1] = alpha
-        return beta
-
-    def scan_and_fill(self, alpha: int, w: list[int]):
-        rows = self.rows
-        f, i = alpha, 0
-        b, j = alpha, len(w) - 1
-        while True:
-            while i <= j and rows[f][w[i]] is not None:
-                f = rows[f][w[i]]
-                i += 1
-            if i > j:
-                if f != b:
-                    self.coincidence(f, b)
-                return
-            while j >= i and rows[b][w[j] ^ 1] is not None:
-                b = rows[b][w[j] ^ 1]
-                j -= 1
-            if j < i:
-                self.coincidence(f, b)
-                return
-            if j == i:
-                rows[f][w[i]] = b
-                rows[b][w[i] ^ 1] = f
-                return
-            self.define(f, w[i])
-
-    def run(self):
-        alpha = 0
-        while alpha < len(self.rows):
-            if self.p[alpha] == alpha:
-                for w in self.relators:
-                    self.scan_and_fill(alpha, w)
-                    if self.p[alpha] != alpha:
-                        break
-                if self.p[alpha] == alpha:
-                    for x in range(self.width):
-                        if self.rows[alpha][x] is None:
-                            self.define(alpha, x)
-            alpha += 1
-
-    def verify_closed(self) -> bool:
-        live = [i for i in range(len(self.rows)) if self.p[i] == i]
-        for alpha in live:
-            if any(e is None for e in self.rows[alpha]):
-                return False
-            for w in self.relators:
-                c = alpha
-                for x in w:
-                    nxt = self.rows[c][x]
-                    if nxt is None:
-                        return False
-                    c = self.rep(nxt)
-                if c != alpha:
-                    return False
-        return True
+# Cosets each column holds before its first doubling.
+_INITIAL_CAPACITY = 256
 
 
 def _word_to_cols(w: Word) -> list[int]:
     return [2 * (x - 1) if x > 0 else 2 * (-x - 1) + 1 for x in w]
+
+
+def _root(parent: list[int], k: int) -> int:
+    while parent[k] != k:
+        parent[k] = k = parent[parent[k]]
+    return k
+
+
+def _enumerate_cosets(
+    ngens: int, relators: list[list[int]], budget: int
+) -> tuple[list[list[int]], list[int], int, int, bool]:
+    """HLT enumeration over a column-major coset table.
+
+    ``table[x][coset]`` is the image of ``coset`` under signed generator
+    column ``x`` (generator g is column 2g-2, its inverse 2g-1), or -1
+    while undefined; ``parent`` is the union-find forest over cosets, in
+    which the smaller coset of a coincidence survives.  Columns double
+    as cosets are defined, never beyond ``budget``.  Returns ``(table,
+    parent, defined, live, complete)``: the number of cosets ever
+    defined, the number still live, and whether the table closed before
+    a definition would have exceeded the budget.
+    """
+    width = 2 * ngens
+    cap = min(budget, _INITIAL_CAPACITY)
+    table = [[-1] * cap for _ in range(width)]
+    parent = [0]
+    pairs = [(table[x], table[x ^ 1]) for x in range(width)]
+    # each relator as (forward columns, inverse columns), letter by letter
+    scans = [
+        ([table[x] for x in w], [table[x ^ 1] for x in w], len(w) - 1)
+        for w in relators
+    ]
+    defined = live = 1
+
+    def grow():
+        nonlocal cap
+        extra = min(cap, budget - cap)
+        pad = [-1] * extra
+        for col in table:
+            col.extend(pad)
+        cap += extra
+
+    def coincidence(a: int, b: int) -> int:
+        """Merge cosets a and b and every consequence; return the merges made."""
+        a, b = _root(parent, a), _root(parent, b)
+        if a == b:
+            return 0
+        if a > b:
+            a, b = b, a
+        parent[b] = a
+        queue = [b]  # FIFO: the loop below also visits cosets appended to it
+        for gamma in queue:
+            for col, inv in pairs:
+                delta = col[gamma]
+                if delta < 0:
+                    continue
+                inv[delta] = -1
+                # roots by path halving, inlined
+                mu = gamma
+                while parent[mu] != mu:
+                    parent[mu] = mu = parent[parent[mu]]
+                nu = delta
+                while parent[nu] != nu:
+                    parent[nu] = nu = parent[parent[nu]]
+                if (b := col[mu]) >= 0:
+                    a = nu
+                elif (b := inv[nu]) >= 0:
+                    a = mu
+                else:
+                    col[mu] = nu
+                    inv[nu] = mu
+                    continue
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
+                if a != b:
+                    if a > b:
+                        a, b = b, a
+                    parent[b] = a
+                    queue.append(b)
+        return len(queue)
+
+    alpha = 0
+    while alpha < defined:
+        if parent[alpha] == alpha:
+            for fwd, bwd, last in scans:
+                # scan the relator from alpha both ways, defining cosets
+                # forward until the two scans meet
+                f, i = alpha, 0
+                b, j = alpha, last
+                while True:
+                    while i <= j and (nxt := fwd[i][f]) >= 0:
+                        f = nxt
+                        i += 1
+                    if i > j:
+                        break
+                    while j >= i and (nxt := bwd[j][b]) >= 0:
+                        b = nxt
+                        j -= 1
+                    if j < i:
+                        break
+                    if j == i:
+                        fwd[i][f] = b
+                        bwd[i][b] = f
+                        f = b
+                        break
+                    if defined == budget:
+                        return table, parent, defined, live, False
+                    if defined == cap:
+                        grow()
+                    fwd[i][f] = defined
+                    bwd[i][defined] = f
+                    parent.append(defined)
+                    defined += 1
+                    live += 1
+                if f != b:
+                    live -= coincidence(f, b)
+                    if parent[alpha] != alpha:
+                        break
+            if parent[alpha] == alpha:
+                for col, inv in pairs:
+                    if col[alpha] < 0:
+                        if defined == budget:
+                            return table, parent, defined, live, False
+                        if defined == cap:
+                            grow()
+                        col[alpha] = defined
+                        inv[defined] = alpha
+                        parent.append(defined)
+                        defined += 1
+                        live += 1
+        alpha += 1
+    return table, parent, defined, live, True
+
+
+def _closed(
+    table: list[list[int]], parent: list[int], defined: int, relators: list[list[int]]
+) -> bool:
+    """Every live coset has every entry, and every relator loops at it."""
+    roots = [alpha for alpha in range(defined) if parent[alpha] == alpha]
+    if any(col[alpha] < 0 for col in table for alpha in roots):
+        return False
+    for alpha in roots:
+        for w in relators:
+            c = alpha
+            for x in w:
+                c = _root(parent, table[x][c])
+            if c != alpha:
+                return False
+    return True
 
 
 def todd_coxeter(p: GroupPresentation, budget: int = DEFAULT_COSET_BUDGET) -> CosetTable:
@@ -301,17 +339,15 @@ def todd_coxeter(p: GroupPresentation, budget: int = DEFAULT_COSET_BUDGET) -> Co
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    enum = _Enumerator(
-        p.generator_count, [_word_to_cols(r) for r in p.relators], budget
+    relators = [_word_to_cols(r) for r in p.relators]
+    table, parent, defined, live, complete = _enumerate_cosets(
+        p.generator_count, relators, budget
     )
-    try:
-        enum.run()
-    except _BudgetExhausted:
-        return CosetTable(status="exhausted", budget=budget)
-    if not enum.verify_closed():
+    if not complete:
+        return CosetTable(status="exhausted", budget=budget, live=live)
+    if not _closed(table, parent, defined, relators):
         raise RuntimeError("enumeration finished with an unclosed table")
-    order = sum(1 for i, root in enumerate(enum.p) if root == i)
-    return CosetTable(status="complete", budget=budget, order=order)
+    return CosetTable(status="complete", budget=budget, order=live, live=live)
 
 
 # -- Tietze simplification ------------------------------------------------

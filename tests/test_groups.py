@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from collections import deque
 from itertools import combinations
 from math import gcd
 
@@ -6,8 +8,14 @@ import pytest
 
 import rimtwist as rt
 from rimtwist import AbelianInvariants, GroupPresentation, Pi1Verdict
-from rimtwist.groups import _Enumerator, _word_to_cols, smith_invariants
-from helpers import FIGURE_EIGHT, TREFOIL
+from rimtwist.groups import (
+    _closed,
+    _enumerate_cosets,
+    _root,
+    _word_to_cols,
+    smith_invariants,
+)
+from helpers import FIGURE_EIGHT, SMALL_CORPUS, TREFOIL
 
 
 def _det_cofactor(m):
@@ -138,16 +146,29 @@ def test_todd_coxeter_trefoil_quotients():
 
 def test_todd_coxeter_table_closure():
     s3 = GroupPresentation(("a", "b"), ((1, 1), (2, 2), (1, 2, 1, 2, 1, 2)), 1)
-    enum = _Enumerator(2, [_word_to_cols(r) for r in s3.relators], 10**6)
-    enum.run()
-    live = [c for c in range(len(enum.rows)) if enum.p[c] == c]
-    assert len(live) == rt.todd_coxeter(s3).order == 6
-    assert enum.verify_closed()
-    for c in live:
+    relators = [_word_to_cols(r) for r in s3.relators]
+    table, parent, defined, live, complete = _enumerate_cosets(2, relators, 10**6)
+    assert complete
+    roots = [c for c in range(defined) if parent[c] == c]
+    assert len(roots) == live == rt.todd_coxeter(s3).order == 6
+    assert _closed(table, parent, defined, relators)
+    a = table[0]
+    for c in roots:
         # every signed generator is defined, and a^2 fixes every coset
-        assert all(x is not None for x in enum.rows[c])
-        a = enum.rep(enum.rows[c][0])
-        assert enum.rep(enum.rows[a][0]) == c
+        assert all(col[c] >= 0 for col in table)
+        assert _root(parent, a[_root(parent, a[c])]) == c
+
+
+def test_todd_coxeter_huge_budget_allocates_nothing_up_front():
+    s3 = GroupPresentation(("a", "b"), ((1, 1), (2, 2), (1, 2, 1, 2, 1, 2)), 1)
+    tracemalloc.start()
+    try:
+        table = rt.todd_coxeter(s3, budget=10**12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.order == table.live == 6
+    assert peak < 2**20
 
 
 def test_todd_coxeter_budget_exhaustion():
@@ -155,6 +176,7 @@ def test_todd_coxeter_budget_exhaustion():
     out = rt.todd_coxeter(free, budget=50)
     assert out.status == "exhausted"
     assert out.order is None
+    assert out.live == 50
     with pytest.raises(ValueError):
         rt.todd_coxeter(free, budget=0)
 
@@ -169,6 +191,182 @@ def test_todd_coxeter_relator_permutation_invariance():
         rng.shuffle(relators)
         shuffled = GroupPresentation(base.generators, tuple(relators), base.meridian)
         assert rt.todd_coxeter(shuffled).order == reference
+
+
+class _BudgetExhausted(Exception):
+    pass
+
+
+class _RowMajorHLT:
+    """Reference HLT enumerator: one row per coset, None for undefined.
+
+    The production kernel must define exactly the cosets this one
+    defines, in the same order, with the same merges.
+    """
+
+    def __init__(self, ngens, relator_cols, budget):
+        self.width = 2 * ngens
+        self.relators = relator_cols
+        self.budget = budget
+        self.rows = [[None] * self.width]
+        self.p = [0]
+
+    def rep(self, k):
+        p = self.p
+        root = k
+        while p[root] != root:
+            root = p[root]
+        while p[k] != root:
+            p[k], k = root, p[k]
+        return root
+
+    def merge(self, a, b, queue):
+        a, b = self.rep(a), self.rep(b)
+        if a != b:
+            if a > b:
+                a, b = b, a
+            self.p[b] = a
+            queue.append(b)
+
+    def coincidence(self, a, b):
+        rows = self.rows
+        queue = deque()
+        self.merge(a, b, queue)
+        while queue:
+            gamma = queue.popleft()
+            row = rows[gamma]
+            for x in range(self.width):
+                delta = row[x]
+                if delta is None:
+                    continue
+                rows[delta][x ^ 1] = None
+                mu = self.rep(gamma)
+                nu = self.rep(delta)
+                if rows[mu][x] is not None:
+                    self.merge(nu, rows[mu][x], queue)
+                elif rows[nu][x ^ 1] is not None:
+                    self.merge(mu, rows[nu][x ^ 1], queue)
+                else:
+                    rows[mu][x] = nu
+                    rows[nu][x ^ 1] = mu
+
+    def define(self, alpha, x):
+        if len(self.rows) >= self.budget:
+            raise _BudgetExhausted
+        beta = len(self.rows)
+        self.rows.append([None] * self.width)
+        self.p.append(beta)
+        self.rows[alpha][x] = beta
+        self.rows[beta][x ^ 1] = alpha
+        return beta
+
+    def scan_and_fill(self, alpha, w):
+        rows = self.rows
+        f, i = alpha, 0
+        b, j = alpha, len(w) - 1
+        while True:
+            while i <= j and rows[f][w[i]] is not None:
+                f = rows[f][w[i]]
+                i += 1
+            if i > j:
+                if f != b:
+                    self.coincidence(f, b)
+                return
+            while j >= i and rows[b][w[j] ^ 1] is not None:
+                b = rows[b][w[j] ^ 1]
+                j -= 1
+            if j < i:
+                self.coincidence(f, b)
+                return
+            if j == i:
+                rows[f][w[i]] = b
+                rows[b][w[i] ^ 1] = f
+                return
+            self.define(f, w[i])
+
+    def run(self):
+        """True when the table closes, False when the budget runs out."""
+        try:
+            alpha = 0
+            while alpha < len(self.rows):
+                if self.p[alpha] == alpha:
+                    for w in self.relators:
+                        self.scan_and_fill(alpha, w)
+                        if self.p[alpha] != alpha:
+                            break
+                    if self.p[alpha] == alpha:
+                        for x in range(self.width):
+                            if self.rows[alpha][x] is None:
+                                self.define(alpha, x)
+                alpha += 1
+        except _BudgetExhausted:
+            return False
+        return True
+
+
+def _assert_same_enumeration(ngens, relators, budget):
+    """The kernel and the row-major oracle agree coset for coset."""
+    relators = [_word_to_cols(r) for r in relators]
+    oracle = _RowMajorHLT(ngens, relators, budget)
+    complete = oracle.run()
+    table, parent, defined, live, got_complete = _enumerate_cosets(
+        ngens, relators, budget
+    )
+    assert got_complete == complete
+    assert defined == len(oracle.rows)
+    roots = [c for c in range(defined) if parent[c] == c]
+    assert roots == [c for c in range(defined) if oracle.p[c] == c]
+    assert live == len(roots)
+    for c in roots:
+        for x in range(2 * ngens):
+            want = oracle.rows[c][x]
+            got = table[x][c]
+            if want is None:
+                assert got == -1
+            else:
+                assert _root(parent, got) == oracle.rep(want)
+    return complete
+
+
+def test_enumeration_matches_row_major_oracle_on_twisted_knots():
+    outcomes = set()
+    for _, knot in SMALL_CORPUS:
+        group = rt.presentation_of_knot(knot)
+        for d in range(1, 8):
+            for m in range(-2, 9):
+                p = rt.twist_rim_presentation(group, d, m)
+                for budget in (50, 3000):
+                    complete = _assert_same_enumeration(
+                        p.generator_count, p.relators, budget
+                    )
+                    outcomes.add((budget, complete))
+    # tables close and exhaust at both budgets
+    assert len(outcomes) == 4
+
+
+def test_enumeration_matches_row_major_oracle_on_random_presentations():
+    rng = random.Random(59)
+    for _ in range(300):
+        ngens = rng.randint(1, 3)
+        relators = [
+            tuple(
+                rng.choice((1, -1)) * rng.randint(1, ngens)
+                for _ in range(rng.randint(1, 8))
+            )
+            for _ in range(rng.randint(1, 4))
+        ]
+        _assert_same_enumeration(ngens, relators, rng.choice((1, 20, 400)))
+
+
+def test_enumeration_matches_row_major_oracle_on_edge_cases():
+    assert _assert_same_enumeration(0, [], 1)
+    assert _assert_same_enumeration(0, [()], 5)
+    assert _assert_same_enumeration(1, [(1,)], 1)
+    assert _assert_same_enumeration(1, [(1,), ()], 10)
+    assert not _assert_same_enumeration(1, [], 1)
+    assert not _assert_same_enumeration(2, [(1, 1)], 1)
+    assert rt.todd_coxeter(GroupPresentation((), (), 1), budget=1).order == 1
+    assert rt.todd_coxeter(GroupPresentation(("a",), ((1,),), 1), 1).order == 1
 
 
 def test_tietze_examples():
