@@ -2,13 +2,13 @@
 
 The free derivative of a relator word is abelianized on the fly
 (every generator maps to t), rows of derivatives form the Alexander
-matrix, and the polynomial is the determinant of a square reduction of
-that matrix computed by fraction-free elimination over Z[t, t^-1].
+matrix, built once by ``reduced_alexander_blocks``, and the polynomial
+is the determinant of its square reduction, computed by fraction-free
+elimination over Z[t, t^-1].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .groups import abelianization
@@ -44,23 +44,6 @@ def fox_derivative(w: Word, gen: int) -> LaurentPoly:
     return LaurentPoly(lo, [acc.get(k, 0) for k in range(lo, hi + 1)])
 
 
-@dataclass(frozen=True)
-class AlexMatrix:
-    """Matrix of abelianized Fox derivatives: one row per relator, one column per generator."""
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[LaurentPoly, ...], ...]
-
-
-def alexander_matrix(p: GroupPresentation) -> AlexMatrix:
-    entries = tuple(
-        tuple(fox_derivative(r, j) for j in range(1, p.generator_count + 1))
-        for r in p.relators
-    )
-    return AlexMatrix(rows=len(p.relators), cols=p.generator_count, entries=entries)
-
-
 def _check_knot_presentation(p: GroupPresentation):
     """A knot-group presentation abelianizes to Z with all generators equal.
 
@@ -82,40 +65,26 @@ def _check_knot_presentation(p: GroupPresentation):
 
 def reduced_alexander_blocks(
     p: GroupPresentation,
-    column: int | None = None,
-    drop_relator: int | None = None,
 ) -> tuple[list[list[list[LaurentPoly]]], int]:
     """Square blocks presenting the Alexander module.
 
-    Deletes the chosen generator column (the meridian by default, an
-    optional relator row on request), then repeatedly strips rows whose
-    single nonzero entry is a unit together with their column (the
-    generator they kill), drops freely-trivial rows, and splits what is
-    left into column-connected components.  A component with one more
-    row than columns sheds its last row: for crossing relators that row
-    is the redundant one, so each block is square and presents the
-    factor's Alexander module.
+    Builds the Fox matrix of the presentation (one row per relator, one
+    column per generator) without the meridian column, then repeatedly
+    strips rows whose single nonzero entry is a unit together with their
+    column (the generator they kill), drops freely-trivial rows, and
+    splits what is left into column-connected components.  A component
+    with one more row than columns sheds its last row: for crossing
+    relators that row is the redundant one, so each block is square and
+    presents the factor's Alexander module.
 
     Returns ``(blocks, free_columns)`` where ``free_columns`` counts
     generators no surviving relator touches (nonzero only for
     presentations with free summands, never for knot groups).
     """
-    n = p.generator_count
-    column = p.meridian if column is None else column
-    if n and not (1 <= column <= n):
-        raise ValueError("column index out of range")
-    if drop_relator is not None and not (0 <= drop_relator < len(p.relators)):
-        raise ValueError("relator index out of range")
-    kept_cols = [j for j in range(1, n + 1) if j != column]
-    col_pos = {j: i for i, j in enumerate(kept_cols)}
-    rows: list[list[LaurentPoly]] = []
-    for i, r in enumerate(p.relators):
-        if drop_relator is not None and i == drop_relator:
-            continue
-        rows.append([fox_derivative(r, j) for j in kept_cols])
+    kept_cols = [j for j in range(1, p.generator_count + 1) if j != p.meridian]
+    rows = [[fox_derivative(r, j) for j in kept_cols] for r in p.relators]
 
-    ncols = len(kept_cols)
-    live_cols = list(range(ncols))
+    live_cols = list(range(len(kept_cols)))
     # strip unit-singleton rows (and zero rows) until stable
     changed = True
     while changed:
@@ -178,19 +147,14 @@ def reduced_alexander_blocks(
     return blocks, free_columns
 
 
-def alexander_polynomial(
-    p: GroupPresentation,
-    column: int | None = None,
-    drop_relator: int | None = None,
-) -> LaurentPoly:
+def alexander_polynomial(p: GroupPresentation) -> LaurentPoly:
     """Alexander polynomial of a knot-group presentation, normalized.
 
-    ``column`` picks the deleted generator column (default: the
-    meridian); ``drop_relator`` forces a particular relator row out
-    first.  Both choices only move the answer by units.
+    The product of the determinants of the reduced Alexander blocks, which
+    delete the meridian's column.
     """
     _check_knot_presentation(p)
-    blocks, free_columns = reduced_alexander_blocks(p, column, drop_relator)
+    blocks, free_columns = reduced_alexander_blocks(p)
     if free_columns:
         return LaurentPoly.zero()
     det = LaurentPoly.one()

@@ -13,7 +13,12 @@ import json
 import sys
 
 from .alexander import alexander_polynomial
-from .covers import INFINITE, branched_cover_order, branched_cover_structure
+from .covers import (
+    CoverHomology,
+    branched_cover_order,
+    branched_cover_structure,
+    order_value,
+)
 from .groups import DEFAULT_COSET_BUDGET
 from .knots import KnotError, parse_knot, render
 from .laurent import poly_text
@@ -79,8 +84,7 @@ def _report_text(report: SurgeryReport) -> str:
         f"alexander: {poly_text(report.alexander)}",
         f"pi1: {report.pi1}",
         f"pi1 obstruction: {'yes' if report.pi1_obstruction else 'no'}",
-        f"branched cover: order "
-        + ("infinite" if report.branched_order is INFINITE else str(report.branched_order)),
+        f"branched cover: order {order_value(report.branched_order)}",
         f"smoothly knotted: {report.smoothly_knotted} ({report.smoothly_knotted_reason})",
     ]
     if report.topologically_standard_failed is None:
@@ -101,7 +105,7 @@ def _search_row_text(report: SurgeryReport) -> str:
     return (
         f"knot={render(report.knot)} d={report.params.d} m={report.params.m} "
         f"alexander=\"{poly_text(report.alexander)}\" "
-        f"cover_order={report.branched_order} "
+        f"cover_order={order_value(report.branched_order)} "
         f"smoothly_knotted={report.smoothly_knotted} "
         f"topologically_standard={report.topologically_standard}"
     )
@@ -126,8 +130,6 @@ def run(argv: list[str], out=None, err=None) -> int:
             return 0
 
         if args.command == "pi1":
-            if args.d < 1:
-                raise ValueError("--d must be >= 1")
             pres = presentation_of_knot(parse_knot(args.knot))
             verdict, _ = determine_pi1(pres, args.d, args.m, args.budget)
             if args.json:
@@ -139,30 +141,16 @@ def run(argv: list[str], out=None, err=None) -> int:
             return 0
 
         if args.command == "cover":
-            if args.d < 1:
-                raise ValueError("--d must be >= 1")
             pres = presentation_of_knot(parse_knot(args.knot))
-            delta = alexander_polynomial(pres)
-            order = branched_cover_order(delta, args.d)
-            structure = branched_cover_structure(pres, args.d) if args.structure else None
+            cover = CoverHomology(
+                d=args.d,
+                order=branched_cover_order(alexander_polynomial(pres), args.d),
+                structure=branched_cover_structure(pres, args.d) if args.structure else None,
+            )
             if args.json:
-                obj: dict = {
-                    "d": args.d,
-                    "order": "infinite" if order is INFINITE else order,
-                }
-                if structure is not None:
-                    obj["structure"] = {
-                        "free_rank": structure.free_rank,
-                        "torsion": list(structure.torsion),
-                    }
-                print(json.dumps(obj, sort_keys=True), file=out)
+                print(json.dumps(cover.to_json(), sort_keys=True), file=out)
             else:
-                print(
-                    "order " + ("infinite" if order is INFINITE else str(order)),
-                    file=out,
-                )
-                if structure is not None:
-                    print(f"structure {structure}", file=out)
+                print(cover, file=out)
             return 0
 
         if args.command == "classify":

@@ -47,6 +47,11 @@ class Infinite:
 INFINITE = Infinite()
 
 
+def order_value(order: int | Infinite) -> int | str:
+    """A branched-cover order as text and JSON show it: the int, or "infinite"."""
+    return "infinite" if order is INFINITE else order
+
+
 def branched_cover_order(delta: LaurentPoly, d: int) -> int | Infinite:
     """|H1| of the d-fold branched cover from the Alexander polynomial.
 
@@ -54,8 +59,6 @@ def branched_cover_order(delta: LaurentPoly, d: int) -> int | Infinite:
     (a root of delta among d-th roots of unity) means the homology is
     infinite.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
     r = resultant_with_cyclotomic(delta, d)
     return abs(r) if r != 0 else INFINITE
 
@@ -121,7 +124,11 @@ def unbranched_cover_is_homology_circle(delta: LaurentPoly, d: int) -> bool:
 
 @dataclass(frozen=True)
 class CoverHomology:
-    """Branched-cover homology for one d: order plus optional group structure."""
+    """Branched-cover homology for one d: order plus optional group structure.
+
+    A structure given with the order must agree with it, so the resultant
+    and the Smith normal form check each other.
+    """
 
     d: int
     order: int | Infinite
@@ -136,11 +143,17 @@ class CoverHomology:
                     f"structure order {struct_order} disagrees with resultant order {self.order}"
                 )
 
+    def __str__(self) -> str:
+        text = f"order {order_value(self.order)}"
+        if self.structure is not None:
+            text += f"\nstructure {self.structure}"
+        return text
 
-def cover_homology(delta: LaurentPoly, p: GroupPresentation, d: int) -> CoverHomology:
-    """Both routes at once, cross-checked: resultant order and SNF structure."""
-    return CoverHomology(
-        d=d,
-        order=branched_cover_order(delta, d),
-        structure=branched_cover_structure(p, d),
-    )
+    def to_json(self) -> dict:
+        out: dict = {"d": self.d, "order": order_value(self.order)}
+        if self.structure is not None:
+            out["structure"] = {
+                "free_rank": self.structure.free_rank,
+                "torsion": list(self.structure.torsion),
+            }
+        return out

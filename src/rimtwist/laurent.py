@@ -1,8 +1,8 @@
 """Exact Laurent-polynomial arithmetic over the integers.
 
 Single variable t, arbitrary-precision integer coefficients, no
-floating point anywhere.  This module also carries the fraction-free
-(Bareiss) determinant over polynomial and integer matrices and the
+floating point anywhere.  This module also carries the one
+fraction-free (Bareiss) determinant, over Z and over Z[t, t^-1], and the
 resultant against t^d - 1 used by the branched-cover order formula.
 """
 
@@ -51,10 +51,6 @@ class LaurentPoly:
         return LaurentPoly(0, (1,))
 
     @staticmethod
-    def const(c: int) -> "LaurentPoly":
-        return LaurentPoly(0, (c,))
-
-    @staticmethod
     def t_power(k: int, c: int = 1) -> "LaurentPoly":
         """The monomial c * t^k."""
         return LaurentPoly(k, (c,))
@@ -64,12 +60,12 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
     def is_unit(self) -> bool:
         """True for +-t^k, the units of Z[t, t^-1]."""
         return len(self.coeffs) == 1 and abs(self.coeffs[0]) == 1
-
-    def is_monomial(self) -> bool:
-        return len(self.coeffs) == 1
 
     @property
     def max_exp(self) -> int:
@@ -169,6 +165,12 @@ class LaurentPoly:
         quot = _poly_div_exact(list(self.coeffs), list(other.coeffs))
         return LaurentPoly(self.min_exp - other.min_exp, quot)
 
+    def __floordiv__(self, other: "LaurentPoly | int") -> "LaurentPoly":
+        """Exact quotient as in ``div_exact``; an int divisor is a constant polynomial."""
+        if isinstance(other, int):
+            other = LaurentPoly(0, (other,))
+        return self.div_exact(other)
+
     def evaluate(self, x: int) -> int:
         """Evaluate at an integer; x must be a unit (+-1) if min_exp < 0."""
         if self.is_zero():
@@ -266,61 +268,34 @@ def poly_text(p: LaurentPoly) -> str:
 # -- determinants ------------------------------------------------------
 
 
-def laurent_det(matrix: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
-    """Determinant of a square matrix over Z[t, t^-1].
+def laurent_det(
+    matrix: Sequence[Sequence[int]] | Sequence[Sequence[LaurentPoly]],
+) -> int | LaurentPoly:
+    """Determinant of a square matrix over Z or over Z[t, t^-1].
 
-    Fraction-free Bareiss elimination: every division is exact, all
-    intermediate entries are minors of the input, so coefficient growth
-    stays polynomial.
+    The entries are all ints or all ``LaurentPoly``; the 0x0 matrix
+    gives the int 1.  Fraction-free Bareiss elimination (Bareiss 1968):
+    every division is exact and every intermediate entry is a minor of
+    the input, so coefficient growth stays polynomial.  A row whose
+    head is already zero is only rescaled.
     """
-    n = len(matrix)
-    if n == 0:
-        return LaurentPoly.one()
-    m = [list(row) for row in matrix]
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix is not square")
-    sign = 1
-    prev = LaurentPoly.one()
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not m[r][k].is_zero():
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return LaurentPoly.zero()
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            row_k = m[k]
-            head = row_i[k]
-            for j in range(k + 1, n):
-                num = pivot * row_i[j] - head * row_k[j]
-                row_i[j] = num.div_exact(prev)
-            row_i[k] = LaurentPoly.zero()
-        prev = pivot
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
-def int_det(matrix: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination."""
     n = len(matrix)
     if n == 0:
         return 1
     m = [list(row) for row in matrix]
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix is not square")
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if m[k][k] == 0:
+        if not m[k][k]:
             for r in range(k + 1, n):
-                if m[r][k] != 0:
+                if m[r][k]:
                     m[k], m[r] = m[r], m[k]
                     sign = -sign
                     break
             else:
-                return 0
+                return m[k][k]  # a zero column: this entry is the zero of the ring
         row_k = m[k]
         pivot = row_k[k]
         tail_k = row_k[k + 1 :]
@@ -334,7 +309,8 @@ def int_det(matrix: Sequence[Sequence[int]]) -> int:
             else:
                 row_i[k + 1 :] = [pivot * a // prev for a in row_i[k + 1 :]]
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    det = m[n - 1][n - 1]
+    return det if sign == 1 else -det
 
 
 def _reduce(p: list[int], g: list[int]) -> tuple[list[int], int]:
@@ -426,5 +402,5 @@ def resultant_with_cyclotomic(delta: LaurentPoly, d: int) -> int:
     r_desc = num[::-1]
     rows = [[0] * i + r_desc + [0] * (size - k - 1 - i) for i in range(e)]
     rows += [[0] * i + g_desc + [0] * (size - e - 1 - i) for i in range(k)]
-    res = c ** (d - k) * int_det(rows) // den**e
+    res = c ** (d - k) * laurent_det(rows) // den**e
     return -res if (d - k) * e % 2 else res

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .alexander import alexander_polynomial
-from .covers import INFINITE, Infinite, branched_cover_order
+from .covers import Infinite, branched_cover_order, order_value
 from .groups import (
     DEFAULT_COSET_BUDGET,
     AbelianInvariants,
@@ -162,7 +162,6 @@ class SurgeryReport:
         topo: dict = {"verdict": self.topologically_standard}
         if self.topologically_standard_failed is not None:
             topo["failed"] = self.topologically_standard_failed
-        order = "infinite" if self.branched_order is INFINITE else self.branched_order
         out = {
             "knot": render(self.knot),
             "d": self.params.d,
@@ -171,7 +170,7 @@ class SurgeryReport:
             "pi1": self.pi1.to_json(),
             "smoothly_knotted": smooth,
             "topologically_standard": topo,
-            "branched_cover": {"order": order},
+            "branched_cover": {"order": order_value(self.branched_order)},
         }
         if self.params.cp2_degree is not None:
             out["cp2"] = {"degree": self.params.cp2_degree, "genus": self.cp2_genus}
@@ -208,6 +207,8 @@ def determine_pi1(
     p: GroupPresentation, d: int, m: int, budget: int
 ) -> tuple[Pi1Verdict, bool]:
     """Pi1 verdict plus whether the group is proven different from Z/d."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if congruent_pm1(d, m):

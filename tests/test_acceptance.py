@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 Every check is exact; wall-clock limits are asserted where stated.
 """
 
+import dataclasses
 import io
 import json
 import pathlib
@@ -183,7 +184,7 @@ def test_criterion_7_property_suite():
         if not mirrored.unit_equal(delta.reverse()):
             failures += 1
         column = rng.randint(1, pres.generator_count)
-        if not rt.alexander_polynomial(pres, column=column).unit_equal(delta):
+        if not rt.alexander_polynomial(dataclasses.replace(pres, meridian=column)).unit_equal(delta):
             failures += 1
     for a, b in zip(braids[0::2], braids[1::2]):
         pa, pb = rt.wirtinger_from_braid(a), rt.wirtinger_from_braid(b)

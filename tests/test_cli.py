@@ -2,7 +2,8 @@ import io
 import json
 import pathlib
 
-from rimtwist.cli import run
+import rimtwist as rt
+from rimtwist.cli import _search_row_text, run
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -128,6 +129,15 @@ def test_search_streams_deterministic_rows():
     assert code == 2 and out == "" and "bounds" in err
 
 
+def test_search_row_text_infinite_order():
+    report = rt.classify(rt.parse_knot("T(2,3)"), rt.SurgeryParams(d=6, m=5))
+    assert report.branched_order is rt.INFINITE
+    assert _search_row_text(report) == (
+        'knot=T(2,3) d=6 m=5 alexander="t^2 - t + 1" cover_order=infinite '
+        "smoothly_knotted=no-evidence topologically_standard=unknown"
+    )
+
+
 def test_search_json_lines():
     code, out, _ = _run(
         ["search", "--pmax", "2", "--qmax", "3", "--dmax", "5", "--mmax", "4", "--json"]
@@ -150,8 +160,11 @@ def test_error_exit_codes():
     code, _, err = _run(["classify", "T(2,3)", "--d", "2", "--m", "2", "--cp2"])
     assert code == 2 and "cp2" in err  # degree-2 curves are refused
 
-    code, _, _ = _run(["cover", "T(2,3)", "--d", "0"])
-    assert code == 2
+    # d < 1 is refused by the library, before any output
+    for argv in (["cover", "T(2,3)", "--d", "0"], ["pi1", "T(2,3)", "--d", "0", "--m", "1"]):
+        for extra in ([], ["--json"]):
+            code, out, err = _run(argv + extra)
+            assert code == 2 and out == "" and "d must be >= 1" in err
 
     # argparse failures also exit 2
     code, _, _ = _run(["cover", "T(2,3)"])

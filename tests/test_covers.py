@@ -197,9 +197,18 @@ def test_homology_circle_examples():
 def test_cover_homology_crosscheck():
     tre = rt.presentation_of_knot(TREFOIL)
     delta = rt.alexander_polynomial(tre)
-    combined = rt.cover_homology(delta, tre, 3)
+    combined = rt.CoverHomology(
+        d=3,
+        order=rt.branched_cover_order(delta, 3),
+        structure=rt.branched_cover_structure(tre, 3),
+    )
     assert combined.order == 4
     assert combined.structure == AbelianInvariants(0, (2, 2))
+    assert str(combined) == "order 4\nstructure Z/2 ⊕ Z/2"
+    assert combined.to_json() == {"d": 3, "order": 4, "structure": {"free_rank": 0, "torsion": [2, 2]}}
+    infinite = rt.CoverHomology(d=6, order=INFINITE, structure=rt.branched_cover_structure(tre, 6))
+    assert str(infinite) == "order infinite\nstructure Z ⊕ Z"
+    assert rt.CoverHomology(d=6, order=INFINITE).to_json() == {"d": 6, "order": "infinite"}
     # the constructor rejects mismatched routes
     with pytest.raises(ValueError):
         rt.CoverHomology(d=2, order=7, structure=AbelianInvariants(0, (3,)))

@@ -6,7 +6,6 @@ import pytest
 from rimtwist.alexander import torus_alexander
 from rimtwist.laurent import (
     LaurentPoly,
-    int_det,
     laurent_det,
     poly_text,
     resultant_with_cyclotomic,
@@ -96,15 +95,15 @@ def test_json_roundtrip():
 
 
 def _det_cofactor(m):
+    """Oracle: cofactor expansion along the first row, over Z or Z[t, t^-1]."""
     n = len(m)
     if n == 0:
         return ONE
     if n == 1:
         return m[0][0]
-    acc = LaurentPoly.zero()
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        term = m[0][j] * _det_cofactor(minor)
+    terms = [m[0][j] * _det_cofactor([row[:j] + row[j + 1 :] for row in m[1:]]) for j in range(n)]
+    acc = terms[0]
+    for j, term in enumerate(terms[1:], 1):
         acc = acc + term if j % 2 == 0 else acc - term
     return acc
 
@@ -124,7 +123,7 @@ def test_laurent_det_against_cofactor_expansion():
 
 
 def test_laurent_det_edge_cases():
-    assert laurent_det([]) == ONE
+    assert laurent_det([]) == 1
     assert laurent_det([[P(0, 5)]]) == P(0, 5)
     # singular matrix
     row = [P(0, 1, 1), P(0, 2)]
@@ -132,11 +131,66 @@ def test_laurent_det_edge_cases():
 
 
 def test_int_det_known():
-    assert int_det([]) == 1
-    assert int_det([[7]]) == 7
-    assert int_det([[1, 2], [3, 4]]) == -2
-    assert int_det([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == 30
-    assert int_det([[1, 2], [2, 4]]) == 0
+    assert laurent_det([]) == 1
+    assert laurent_det([[7]]) == 7
+    assert laurent_det([[1, 2], [3, 4]]) == -2
+    assert laurent_det([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == 30
+    assert laurent_det([[1, 2], [2, 4]]) == 0
+    assert laurent_det([[0, 1], [1, 0]]) == -1
+    assert laurent_det([[0, 2], [0, 3]]) == 0
+    with pytest.raises(ValueError):
+        laurent_det([[1, 2], [3]])
+
+
+def _random_int_matrix(rng, n, kind):
+    """A seeded n x n integer matrix of one of several shapes.
+
+    "singular" makes the last row a combination of two earlier ones,
+    "zero-pivot" zeroes the top-left entry, "zero-column" the first
+    column, and "sparse" leaves most entries (so most row heads) zero.
+    """
+    bound = 3 if kind == "sparse" else 9
+    m = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+    if kind == "sparse":
+        m = [[x if rng.random() < 0.3 else 0 for x in row] for row in m]
+    elif kind == "singular" and n > 1:
+        a, b = rng.randrange(n - 1), rng.randrange(n - 1)
+        ca, cb = rng.randint(-3, 3), rng.randint(-3, 3)
+        m[-1] = [ca * x + cb * y for x, y in zip(m[a], m[b])]
+    elif kind == "zero-pivot":
+        m[0][0] = 0
+    elif kind == "zero-column":
+        for row in m:
+            row[0] = 0
+    return m
+
+
+INT_MATRIX_KINDS = ("dense", "singular", "zero-pivot", "zero-column", "sparse")
+
+
+def test_int_det_against_cofactor_expansion():
+    rng = random.Random(53)
+    zeros = nonzeros = 0
+    for trial in range(400):
+        kind = INT_MATRIX_KINDS[trial % len(INT_MATRIX_KINDS)]
+        m = _random_int_matrix(rng, rng.randint(1, 6), kind)
+        det = laurent_det(m)
+        assert type(det) is int
+        assert det == _det_cofactor([row[:] for row in m]), (kind, m)
+        if kind in ("singular", "zero-column") and len(m) > 1:
+            assert det == 0, (kind, m)
+        zeros += det == 0
+        nonzeros += det != 0
+    assert zeros > 100 and nonzeros > 100
+
+
+def test_int_det_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(59)
+    for trial in range(60):
+        kind = INT_MATRIX_KINDS[trial % len(INT_MATRIX_KINDS)]
+        m = _random_int_matrix(rng, rng.randint(7, 14), kind)
+        assert laurent_det(m) == sympy.Matrix(m).det(method="berkowitz"), (kind, m)
 
 
 def _circulant_resultant(delta, d):
@@ -219,7 +273,7 @@ def _sylvester_resultant(delta, d):
     size = d + e
     rows = [[0] * i + f_desc + [0] * (size - d - 1 - i) for i in range(e)]
     rows += [[0] * i + g_desc + [0] * (size - e - 1 - i) for i in range(d)]
-    return int_det(rows)
+    return laurent_det(rows)
 
 
 def _oracle_degrees(e, d_max, extra=()):

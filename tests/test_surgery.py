@@ -224,6 +224,15 @@ def test_determine_pi1_rejects_bad_budget():
             rt.classify(TREFOIL, SurgeryParams(d=5, m=4), budget=budget)
 
 
+def test_determine_pi1_rejects_bad_d():
+    # d = 0 and d = -3 would pass the congruence for these m
+    tre = rt.presentation_of_knot(TREFOIL)
+    for d, m in ((0, 1), (-3, 2)):
+        assert congruent_pm1(d, m)
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            determine_pi1(tre, d, m, 10)
+
+
 def test_enumerate_examples_small_bounds_empty():
     # with everything bounded by 3 no admissible d survives the coprimality
     # filter, so the row set is empty (and deterministically so)
