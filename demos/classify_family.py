@@ -16,7 +16,7 @@ import rimtwist as rt
 
 print("=== one full report ===")
 knot = rt.parse_knot("T(2,3)#mirror(T(2,3))")
-report = rt.classify(knot, rt.SurgeryParams(d=5, m=4, cp2_degree=5))
+report = rt.classify(knot, rt.SurgeryParams(d=5, m=4, cp2=True))
 print(f"  knot:       {rt.render(report.knot)}")
 print(f"  surgery:    d={report.params.d}, m={report.params.m}, degree-5 curve")
 print(f"  alexander:  {rt.poly_text(report.alexander)}")

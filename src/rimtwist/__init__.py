@@ -12,12 +12,9 @@ from .alexander import (
     torus_alexander,
 )
 from .covers import (
-    INFINITE,
     CoverHomology,
-    Infinite,
     branched_cover_order,
     branched_cover_structure,
-    unbranched_cover_is_homology_circle,
 )
 from .groups import (
     DEFAULT_COSET_BUDGET,
@@ -77,8 +74,6 @@ __all__ = [
     "CoverHomology",
     "DEFAULT_COSET_BUDGET",
     "GroupPresentation",
-    "INFINITE",
-    "Infinite",
     "KnotError",
     "KnotExpr",
     "KnotSemanticError",
@@ -119,7 +114,6 @@ __all__ = [
     "torus_alexander",
     "torus_braid",
     "twist_rim_presentation",
-    "unbranched_cover_is_homology_circle",
     "wirtinger_from_braid",
     "wirtinger_from_pd",
 ]

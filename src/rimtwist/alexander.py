@@ -44,29 +44,14 @@ def fox_derivative(w: Word, gen: int) -> LaurentPoly:
     return LaurentPoly(lo, [acc.get(k, 0) for k in range(lo, hi + 1)])
 
 
-def _check_knot_presentation(p: GroupPresentation):
-    """A knot-group presentation abelianizes to Z with all generators equal.
-
-    Equivalent check: every relator has total exponent sum zero (so
-    g_i -> t is a well-defined homomorphism onto Z) and the relator
-    exponent matrix has rank n-1 with unit invariant factors.
-    """
-    for r in p.relators:
-        if total_exponent(r) != 0:
-            raise ValueError(
-                "not a knot-group presentation: relator with nonzero total exponent"
-            )
-    ab = abelianization(p)
-    if ab.free_rank != 1 or ab.torsion:
-        raise ValueError(
-            f"not a knot-group presentation: abelianization is not Z (got {ab})"
-        )
-
-
 def reduced_alexander_blocks(
     p: GroupPresentation,
 ) -> tuple[list[list[list[LaurentPoly]]], int]:
-    """Square blocks presenting the Alexander module.
+    """Square blocks presenting the Alexander module of a knot-group presentation.
+
+    Raises ValueError unless the presentation is a knot group's: every
+    relator has total exponent sum zero (so g_i -> t is a well-defined
+    homomorphism onto Z) and the abelianization is Z.
 
     Builds the Fox matrix of the presentation (one row per relator, one
     column per generator) without the meridian column, then repeatedly
@@ -81,6 +66,16 @@ def reduced_alexander_blocks(
     generators no surviving relator touches (nonzero only for
     presentations with free summands, never for knot groups).
     """
+    for r in p.relators:
+        if total_exponent(r) != 0:
+            raise ValueError(
+                "not a knot-group presentation: relator with nonzero total exponent"
+            )
+    ab = abelianization(p)
+    if ab.free_rank != 1 or ab.torsion:
+        raise ValueError(
+            f"not a knot-group presentation: abelianization is not Z (got {ab})"
+        )
     kept_cols = [j for j in range(1, p.generator_count + 1) if j != p.meridian]
     rows = [[fox_derivative(r, j) for j in kept_cols] for r in p.relators]
 
@@ -92,7 +87,7 @@ def reduced_alexander_blocks(
         next_rows = []
         kill_col: int | None = None
         for row in rows:
-            support = [c for c in live_cols if not row[c].is_zero()]
+            support = [c for c in live_cols if row[c]]
             if not support:
                 changed = True
                 continue
@@ -116,7 +111,7 @@ def reduced_alexander_blocks(
 
     row_support = []
     for row in rows:
-        support = [c for c in live_cols if not row[c].is_zero()]
+        support = [c for c in live_cols if row[c]]
         row_support.append(support)
         root = find(support[0])
         for c in support[1:]:
@@ -153,14 +148,13 @@ def alexander_polynomial(p: GroupPresentation) -> LaurentPoly:
     The product of the determinants of the reduced Alexander blocks, which
     delete the meridian's column.
     """
-    _check_knot_presentation(p)
     blocks, free_columns = reduced_alexander_blocks(p)
     if free_columns:
         return LaurentPoly.zero()
     det = LaurentPoly.one()
     for block in blocks:
         det = det * laurent_det(block)
-        if det.is_zero():
+        if not det:
             break
     return det.normalize()
 
@@ -179,4 +173,4 @@ def torus_alexander(p: int, q: int) -> LaurentPoly:
     one = LaurentPoly.one()
     num = (one - LaurentPoly.t_power(1)) * (one - LaurentPoly.t_power(p * q))
     den = (one - LaurentPoly.t_power(p)) * (one - LaurentPoly.t_power(q))
-    return num.div_exact(den).normalize()
+    return (num // den).normalize()

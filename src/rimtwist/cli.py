@@ -94,10 +94,8 @@ def _report_text(report: SurgeryReport) -> str:
             f"topologically standard: {report.topologically_standard} "
             f"(failed: {report.topologically_standard_failed})"
         )
-    if report.params.cp2_degree is not None:
-        lines.append(
-            f"cp2: degree {report.params.cp2_degree} curve, genus {report.cp2_genus}"
-        )
+    if report.params.cp2:
+        lines.append(f"cp2: degree {report.params.d} curve, genus {report.cp2_genus}")
     return "\n".join(lines)
 
 
@@ -154,12 +152,7 @@ def run(argv: list[str], out=None, err=None) -> int:
             return 0
 
         if args.command == "classify":
-            params = SurgeryParams(
-                d=args.d,
-                m=args.m,
-                sw_nontrivial=args.sw,
-                cp2_degree=args.d if args.cp2 else None,
-            )
+            params = SurgeryParams(d=args.d, m=args.m, sw_nontrivial=args.sw, cp2=args.cp2)
             report = classify(parse_knot(args.knot), params, args.budget)
             if args.json:
                 print(json.dumps(report.to_json(), sort_keys=True), file=out)

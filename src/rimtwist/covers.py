@@ -24,43 +24,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .alexander import _check_knot_presentation, reduced_alexander_blocks
+from .alexander import reduced_alexander_blocks
 from .groups import AbelianInvariants, smith_invariants
 from .laurent import LaurentPoly, resultant_with_cyclotomic
 from .wirtinger import GroupPresentation
 
 
-class Infinite:
-    """Sentinel order for covers with positive first Betti number."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "Infinite"
+def order_value(order: int | None) -> int | str:
+    """A branched-cover order as text and JSON show it: the int, or "infinite" for None."""
+    return "infinite" if order is None else order
 
 
-INFINITE = Infinite()
-
-
-def order_value(order: int | Infinite) -> int | str:
-    """A branched-cover order as text and JSON show it: the int, or "infinite"."""
-    return "infinite" if order is INFINITE else order
-
-
-def branched_cover_order(delta: LaurentPoly, d: int) -> int | Infinite:
+def branched_cover_order(delta: LaurentPoly, d: int) -> int | None:
     """|H1| of the d-fold branched cover from the Alexander polynomial.
 
     The absolute value of the resultant of t^d - 1 against delta; zero
     (a root of delta among d-th roots of unity) means the homology is
-    infinite.
+    infinite, returned as None like ``AbelianInvariants.order``.
     """
-    r = resultant_with_cyclotomic(delta, d)
-    return abs(r) if r != 0 else INFINITE
+    return abs(resultant_with_cyclotomic(delta, d)) or None
 
 
 def _cover_block(entry: LaurentPoly, d: int) -> list[list[int]]:
@@ -88,7 +70,6 @@ def branched_cover_structure(p: GroupPresentation, d: int) -> AbelianInvariants:
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    _check_knot_presentation(p)
     e = d - 1
     blocks, free_columns = reduced_alexander_blocks(p)
     if e == 0:
@@ -100,7 +81,7 @@ def branched_cover_structure(p: GroupPresentation, d: int) -> AbelianInvariants:
         bn = len(block)
         for bi in range(bn):
             for bj in range(bn):
-                if block[bi][bj].is_zero():
+                if not block[bi][bj]:
                     continue  # big starts at zero
                 col = offset + bj * e
                 for r, sub_row in enumerate(_cover_block(block[bi][bj], d)):
@@ -113,15 +94,6 @@ def branched_cover_structure(p: GroupPresentation, d: int) -> AbelianInvariants:
     )
 
 
-def unbranched_cover_is_homology_circle(delta: LaurentPoly, d: int) -> bool:
-    """Whether the d-fold cyclic cover of the knot exterior has the homology of a circle.
-
-    H1 of the unbranched cover splits as Z plus the branched-cover
-    homology, so this is exactly "branched-cover order 1".
-    """
-    return branched_cover_order(delta, d) == 1
-
-
 @dataclass(frozen=True)
 class CoverHomology:
     """Branched-cover homology for one d: order plus optional group structure.
@@ -131,14 +103,13 @@ class CoverHomology:
     """
 
     d: int
-    order: int | Infinite
+    order: int | None
     structure: AbelianInvariants | None = None
 
     def __post_init__(self):
         if self.structure is not None:
             struct_order = self.structure.order()
-            expected = None if self.order is INFINITE else self.order
-            if struct_order != expected:
+            if struct_order != self.order:
                 raise ValueError(
                     f"structure order {struct_order} disagrees with resultant order {self.order}"
                 )

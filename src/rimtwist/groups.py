@@ -363,7 +363,7 @@ def _renumber(w: Word, gone: int) -> Word:
     return tuple(out)
 
 
-def tietze_simplify(p: GroupPresentation, budget: int = 100) -> GroupPresentation:
+def tietze_simplify(p: GroupPresentation) -> GroupPresentation:
     """Shrink a presentation without changing the group.
 
     Free/cyclic reduction, duplicate-relator removal, and elimination
@@ -371,12 +371,14 @@ def tietze_simplify(p: GroupPresentation, budget: int = 100) -> GroupPresentatio
     elimination is applied only if it does not increase the total
     relator length, so generator count, relator count, and total length
     never exceed the input's.  The distinguished meridian is never
-    eliminated.
+    eliminated.  Passes repeat until one changes nothing; every changing
+    pass removes a relator or a generator, so the loop terminates.
     """
     gens = list(p.generators)
     meridian = p.meridian
     relators = [cyclic_reduce(r) for r in p.relators]
-    for _ in range(budget):
+    changed = True
+    while changed:
         changed = False
         # duplicate and empty relator removal (up to rotation and inversion)
         seen: set[Word] = set()
@@ -419,6 +421,4 @@ def tietze_simplify(p: GroupPresentation, budget: int = 100) -> GroupPresentatio
                     meridian -= 1
                 changed = True
                 break
-        if not changed:
-            break
     return GroupPresentation(tuple(gens), tuple(relators), meridian)

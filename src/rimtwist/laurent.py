@@ -57,9 +57,6 @@ class LaurentPoly:
 
     # -- basic queries ------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -82,9 +79,9 @@ class LaurentPoly:
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if self.is_zero():
+        if not self:
             return other
-        if other.is_zero():
+        if not other:
             return self
         lo = min(self.min_exp, other.min_exp)
         hi = max(self.max_exp, other.max_exp)
@@ -151,29 +148,26 @@ class LaurentPoly:
 
     # -- division -----------------------------------------------------
 
-    def div_exact(self, other: "LaurentPoly") -> "LaurentPoly":
+    def __floordiv__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         """Exact quotient self / other; raises if the division has a remainder.
 
-        Division in Z[t, t^-1]: shift both operands to honest
-        polynomials with nonzero constant term, divide in Z[t], and
-        restore the exponent offset.
+        An int divisor is a constant polynomial.  Division in
+        Z[t, t^-1]: shift both operands to honest polynomials with
+        nonzero constant term, divide in Z[t], and restore the exponent
+        offset.
         """
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
-            return LaurentPoly.zero()
-        quot = _poly_div_exact(list(self.coeffs), list(other.coeffs))
-        return LaurentPoly(self.min_exp - other.min_exp, quot)
-
-    def __floordiv__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        """Exact quotient as in ``div_exact``; an int divisor is a constant polynomial."""
         if isinstance(other, int):
             other = LaurentPoly(0, (other,))
-        return self.div_exact(other)
+        if not other:
+            raise ZeroDivisionError("division by zero polynomial")
+        if not self:
+            return LaurentPoly.zero()
+        quot = _poly_div_exact(self.coeffs, other.coeffs)
+        return LaurentPoly(self.min_exp - other.min_exp, quot)
 
     def evaluate(self, x: int) -> int:
         """Evaluate at an integer; x must be a unit (+-1) if min_exp < 0."""
-        if self.is_zero():
+        if not self:
             return 0
         if self.min_exp < 0 and x not in (1, -1):
             raise ValueError("cannot evaluate negative powers at non-unit integer")
@@ -188,7 +182,7 @@ class LaurentPoly:
 
     def normalize(self) -> "LaurentPoly":
         """Unit-multiple representative: min_exp = 0, positive constant term."""
-        if self.is_zero():
+        if not self:
             return self
         sign = 1 if self.coeffs[0] > 0 else -1
         return LaurentPoly(0, tuple(sign * c for c in self.coeffs))
@@ -213,16 +207,8 @@ class LaurentPoly:
         return LaurentPoly(int(obj["min_exp"]), [int(c) for c in obj["coeffs"]])
 
 
-def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of coefficient lists (ascending order) over Z."""
-    while num and num[0] == 0:
-        num = num[1:]
-    while den and den[0] == 0:
-        den = den[1:]
-    if not den:
-        raise ZeroDivisionError
-    if not num:
-        return []
+def _poly_div_exact(num: Sequence[int], den: Sequence[int]) -> list[int]:
+    """Exact division of trimmed, nonzero coefficient sequences (ascending order) over Z."""
     if len(num) < len(den):
         raise ValueError("inexact polynomial division")
     num = list(num)
@@ -245,7 +231,7 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
 
 def poly_text(p: LaurentPoly) -> str:
     """Render as e.g. ``t^2 - t + 1`` (descending exponents)."""
-    if p.is_zero():
+    if not p:
         return "0"
     parts: list[str] = []
     for i in range(len(p.coeffs) - 1, -1, -1):
@@ -372,7 +358,7 @@ def resultant_with_cyclotomic(delta: LaurentPoly, d: int) -> int:
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    if delta.is_zero():
+    if not delta:
         raise ValueError("resultant of the zero polynomial is undefined")
     g = list(delta.normalize().coeffs)
     e = len(g) - 1

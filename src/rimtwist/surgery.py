@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .alexander import alexander_polynomial
-from .covers import Infinite, branched_cover_order, order_value
+from .covers import branched_cover_order, order_value
 from .groups import (
     DEFAULT_COSET_BUDGET,
     AbelianInvariants,
@@ -35,26 +35,22 @@ class SurgeryParams:
 
     ``sw_nontrivial`` asserts the nontriviality of the relative
     Seiberg-Witten invariant of the ambient pair, which this toolkit
-    consumes as a hypothesis and never computes.  ``cp2_degree`` marks
-    the surface as a degree-d complex curve, which implies the
-    hypothesis; degrees 1 and 2 are open cases and are refused.
+    consumes as a hypothesis and never computes.  ``cp2`` marks the
+    surface as a complex curve in CP^2, whose degree is d; it implies the
+    hypothesis.  Degrees 1 and 2 are open cases and are refused.
     """
 
     d: int
     m: int
     sw_nontrivial: bool = False
-    cp2_degree: int | None = None
+    cp2: bool = False
 
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("d must be >= 1")
-        if self.cp2_degree is not None:
-            if self.cp2_degree < 3:
-                raise ValueError(
-                    "cp2_degree must be >= 3 (degree 1 and 2 curves are open cases)"
-                )
-            if self.cp2_degree != self.d:
-                raise ValueError("cp2_degree must equal d")
+        if self.cp2:
+            if self.d < 3:
+                raise ValueError("cp2 needs d >= 3 (degree 1 and 2 curves are open cases)")
             object.__setattr__(self, "sw_nontrivial", True)
 
 
@@ -150,7 +146,7 @@ class SurgeryReport:
     alexander: LaurentPoly
     pi1: Pi1Verdict
     pi1_obstruction: bool
-    branched_order: int | Infinite
+    branched_order: int | None
     smoothly_knotted: str  # "yes" | "no-evidence"
     smoothly_knotted_reason: str
     topologically_standard: str  # "yes" | "no" | "unknown"
@@ -172,8 +168,8 @@ class SurgeryReport:
             "topologically_standard": topo,
             "branched_cover": {"order": order_value(self.branched_order)},
         }
-        if self.params.cp2_degree is not None:
-            out["cp2"] = {"degree": self.params.cp2_degree, "genus": self.cp2_genus}
+        if self.params.cp2:
+            out["cp2"] = {"degree": self.params.d, "genus": self.cp2_genus}
         return out
 
 
@@ -269,9 +265,7 @@ def classify(
             else:
                 topo_failed = "congruence"
 
-    genus = None
-    if params.cp2_degree is not None:
-        genus = (d - 1) * (d - 2) // 2
+    genus = (d - 1) * (d - 2) // 2 if params.cp2 else None
 
     return SurgeryReport(
         knot=k,

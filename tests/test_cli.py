@@ -1,11 +1,15 @@
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import rimtwist as rt
 from rimtwist.cli import _search_row_text, run
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+SRC = pathlib.Path(__file__).parent.parent / "src"
 
 
 def _run(argv):
@@ -131,7 +135,7 @@ def test_search_streams_deterministic_rows():
 
 def test_search_row_text_infinite_order():
     report = rt.classify(rt.parse_knot("T(2,3)"), rt.SurgeryParams(d=6, m=5))
-    assert report.branched_order is rt.INFINITE
+    assert report.branched_order is None
     assert _search_row_text(report) == (
         'knot=T(2,3) d=6 m=5 alexander="t^2 - t + 1" cover_order=infinite '
         "smoothly_knotted=no-evidence topologically_standard=unknown"
@@ -171,3 +175,22 @@ def test_error_exit_codes():
     assert code == 2
     code, _, _ = _run(["nonsense"])
     assert code == 2
+
+
+def test_module_entry_point_exit_codes():
+    # ``python -m rimtwist.cli`` goes through main(), which exits with run's code
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+
+    def module(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rimtwist.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    assert module("alexander", "T(2,5)") == (0, "t^4 - t^3 + t^2 - t + 1\n", "")
+    code, out, err = module("alexander", "T(2,4)")
+    assert (code, out) == (2, "") and "gcd" in err
+    assert module("pi1", "T(2,3)", "--d", "5", "--m", "7", "--budget", "3", "--strict") == (
+        3, "undetermined (budget-exhausted)\n", ""
+    )

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 
 import rimtwist as rt
-from rimtwist import INFINITE, AbelianInvariants, LaurentPoly
+from rimtwist import AbelianInvariants, LaurentPoly
 from rimtwist.alexander import reduced_alexander_blocks
 from rimtwist.covers import _cover_block
 from helpers import FIGURE_EIGHT, SMALL_CORPUS, TREFOIL, TREFOIL_SUM
@@ -85,7 +85,7 @@ def test_cover_block_matches_companion_substitution():
 def test_cover_block_matches_companion_substitution_on_t57():
     blocks, _ = reduced_alexander_blocks(rt.presentation_of_knot(rt.parse_knot("T(5,7)")))
     entries = {entry for block in blocks for row in block for entry in row}
-    assert any(entry.is_zero() for entry in entries)
+    assert not all(entries)
     for d in (2, 7, 24):
         e = d - 1
         powers = {0: [[int(i == j) for j in range(e)] for i in range(e)]}
@@ -96,7 +96,7 @@ def test_cover_block_matches_companion_substitution_on_t57():
 def test_branched_cover_order_examples():
     trefoil = rt.torus_alexander(2, 3)
     assert rt.branched_cover_order(trefoil, 2) == 3
-    assert rt.branched_cover_order(trefoil, 6) is INFINITE
+    assert rt.branched_cover_order(trefoil, 6) is None
     fig8 = rt.alexander_of_knot(FIGURE_EIGHT)
     assert rt.branched_cover_order(fig8, 2) == 5
     assert fig8.evaluate(-1) in (5, -5)  # direct evaluation oracle
@@ -107,7 +107,7 @@ def test_branched_cover_order_examples():
 def test_branched_cover_order_large_d():
     trefoil = rt.torus_alexander(2, 3)
     orders = [rt.branched_cover_order(trefoil, d) for d in range(10**5, 10**5 + 6)]
-    assert orders == [3, 1, INFINITE, 1, 3, 4]
+    assert orders == [3, 1, None, 1, 3, 4]
 
 
 def test_branched_cover_structure_examples():
@@ -128,16 +128,13 @@ def test_order_structure_agreement_over_corpus():
         for d in range(1, 6):
             order = rt.branched_cover_order(delta, d)
             structure = rt.branched_cover_structure(pres, d)
-            if order is INFINITE:
-                assert structure.order() is None
-            else:
-                assert structure.order() == order, (rt.render(knot), d)
+            assert structure.order() == order, (rt.render(knot), d)
 
 
 def test_infinite_homology_at_vanishing_resultant():
     tre = rt.presentation_of_knot(TREFOIL)
     delta = rt.alexander_polynomial(tre)
-    assert rt.branched_cover_order(delta, 6) is INFINITE
+    assert rt.branched_cover_order(delta, 6) is None
     structure = rt.branched_cover_structure(tre, 6)
     assert structure.free_rank > 0
     assert structure.order() is None
@@ -167,7 +164,7 @@ def test_multiplicativity_of_order():
         for d in range(1, 6):
             oa, ob = rt.branched_cover_order(da, d), rt.branched_cover_order(db, d)
             os = rt.branched_cover_order(ds, d)
-            if oa is INFINITE or ob is INFINITE:
+            if oa is None or ob is None:
                 continue
             assert os == oa * ob
 
@@ -185,13 +182,14 @@ def test_torus_knot_homology_sphere_law():
 
 
 def test_homology_circle_examples():
+    # the unbranched cover is a homology circle exactly when the branched order is 1
     square = rt.alexander_of_knot(TREFOIL_SUM)
-    assert rt.unbranched_cover_is_homology_circle(square, 5) is True
+    assert rt.branched_cover_order(square, 5) == 1
     trefoil = rt.torus_alexander(2, 3)
-    assert rt.unbranched_cover_is_homology_circle(trefoil, 2) is False
+    assert rt.branched_cover_order(trefoil, 2) == 3
     one = rt.LaurentPoly.one()
     for d in (1, 2, 3, 7):
-        assert rt.unbranched_cover_is_homology_circle(one, d) is True
+        assert rt.branched_cover_order(one, d) == 1
 
 
 def test_cover_homology_crosscheck():
@@ -206,15 +204,9 @@ def test_cover_homology_crosscheck():
     assert combined.structure == AbelianInvariants(0, (2, 2))
     assert str(combined) == "order 4\nstructure Z/2 ⊕ Z/2"
     assert combined.to_json() == {"d": 3, "order": 4, "structure": {"free_rank": 0, "torsion": [2, 2]}}
-    infinite = rt.CoverHomology(d=6, order=INFINITE, structure=rt.branched_cover_structure(tre, 6))
+    infinite = rt.CoverHomology(d=6, order=None, structure=rt.branched_cover_structure(tre, 6))
     assert str(infinite) == "order infinite\nstructure Z ⊕ Z"
-    assert rt.CoverHomology(d=6, order=INFINITE).to_json() == {"d": 6, "order": "infinite"}
+    assert rt.CoverHomology(d=6, order=None).to_json() == {"d": 6, "order": "infinite"}
     # the constructor rejects mismatched routes
     with pytest.raises(ValueError):
         rt.CoverHomology(d=2, order=7, structure=AbelianInvariants(0, (3,)))
-
-
-def test_infinite_singleton():
-    assert rt.Infinite() is INFINITE
-    assert repr(INFINITE) == "Infinite"
-    assert INFINITE != 1

@@ -396,6 +396,15 @@ def test_tietze_never_grows():
         assert rt.alexander_polynomial(s).unit_equal(rt.alexander_polynomial(p))
 
 
+def test_tietze_runs_to_a_fixpoint_on_large_presentations():
+    # 130 braid generators shrink to 13; each pass removes at most one generator
+    p = rt.presentation_of_knot(rt.parse_knot("T(11,13)"))
+    assert p.generator_count == 130
+    s = rt.tietze_simplify(p)
+    assert s.generator_count == 13
+    assert rt.abelianization(s) == AbelianInvariants(1, ())
+
+
 def test_tietze_preserves_enumerated_order():
     tre = rt.presentation_of_knot(TREFOIL)
     quotient = rt.twist_rim_presentation(tre, 2, 2)

@@ -58,16 +58,16 @@ def test_div_exact_roundtrip():
     for _ in range(100):
         f = P(rng.randint(-3, 3), *[rng.randint(-4, 4) for _ in range(rng.randint(1, 5))])
         g = P(rng.randint(-3, 3), *[rng.randint(-4, 4) for _ in range(rng.randint(1, 5))])
-        if f.is_zero() or g.is_zero():
+        if not f or not g:
             continue
-        assert (f * g).div_exact(g) == f
+        assert (f * g) // g == f
 
 
 def test_div_exact_rejects_remainder():
     with pytest.raises(ValueError):
-        P(0, 1, 1, 1).div_exact(P(0, 1, 1))  # (1+t+t^2) / (1+t)
+        P(0, 1, 1, 1) // P(0, 1, 1)  # (1+t+t^2) / (1+t)
     with pytest.raises(ZeroDivisionError):
-        ONE.div_exact(LaurentPoly.zero())
+        ONE // LaurentPoly.zero()
 
 
 def test_normalize_convention():
@@ -227,7 +227,7 @@ def test_resultant_small_d_evaluation_oracle():
     rng = random.Random(31)
     for _ in range(80):
         f = P(rng.randint(-2, 2), *[rng.randint(-3, 3) for _ in range(rng.randint(1, 5))])
-        if f.is_zero():
+        if not f:
             continue
         g = f.normalize()
         assert resultant_with_cyclotomic(f, 1) == g.evaluate(1)
@@ -238,7 +238,7 @@ def test_resultant_circulant_oracle():
     rng = random.Random(37)
     for _ in range(40):
         f = P(rng.randint(-2, 2), *[rng.randint(-3, 3) for _ in range(rng.randint(1, 4))])
-        if f.is_zero():
+        if not f:
             continue
         for d in range(1, 7):
             assert resultant_with_cyclotomic(f, d) == _circulant_resultant(f, d), (f, d)
@@ -323,7 +323,7 @@ def test_resultant_sylvester_oracle_random():
     count = 0
     while count < 40:
         f = P(rng.randint(-3, 3), *[rng.randint(-5, 5) for _ in range(rng.randint(1, 9))])
-        if f.is_zero():
+        if not f:
             continue
         count += 1
         for d in _oracle_degrees(f.normalize().max_exp, 30):

@@ -60,10 +60,7 @@ def test_order_structure_agreement_random():
         for dd in range(1, 5):
             order = rt.branched_cover_order(delta, dd)
             structure = rt.branched_cover_structure(p, dd)
-            if order is rt.INFINITE:
-                assert structure.order() is None
-            else:
-                assert structure.order() == order, (b, dd)
+            assert structure.order() == order, (b, dd)
 
 
 def test_tietze_preserves_invariants_random():

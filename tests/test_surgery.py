@@ -14,10 +14,8 @@ def test_params_validation():
     with pytest.raises(ValueError):
         SurgeryParams(d=0, m=1)
     with pytest.raises(ValueError, match="open cases"):
-        SurgeryParams(d=2, m=3, cp2_degree=2)
-    with pytest.raises(ValueError, match="equal d"):
-        SurgeryParams(d=5, m=4, cp2_degree=3)
-    p = SurgeryParams(d=5, m=4, cp2_degree=5)
+        SurgeryParams(d=2, m=3, cp2=True)
+    p = SurgeryParams(d=5, m=4, cp2=True)
     assert p.sw_nontrivial  # the degree-d curve hypothesis implies it
     assert SurgeryParams(d=3, m=0).m == 0
 
@@ -101,7 +99,7 @@ def test_ribbon_certificate():
 
 
 def test_classify_flagship_example():
-    report = rt.classify(TREFOIL_SUM, SurgeryParams(d=5, m=4, cp2_degree=5))
+    report = rt.classify(TREFOIL_SUM, SurgeryParams(d=5, m=4, cp2=True))
     assert rt.poly_text(report.alexander) == "t^4 - 2t^3 + 3t^2 - 2t + 1"
     assert report.pi1.kind == "cyclic" and report.pi1.order == 5
     assert report.smoothly_knotted == "yes"
@@ -125,6 +123,24 @@ def test_classify_pi1_obstruction():
     assert report.pi1_obstruction is True
     assert report.topologically_standard == "no"
     assert report.topologically_standard_failed == "pi1-obstruction"
+
+
+def test_classify_failure_reasons():
+    # each unmet condition of the topological-standardness test is named
+    report = rt.classify(TREFOIL, SurgeryParams(d=5, m=4))
+    assert (report.topologically_standard, report.topologically_standard_failed) == (
+        "unknown", "ribbon-certificate"
+    )
+    report = rt.classify(TREFOIL_SUM, SurgeryParams(d=3, m=4))
+    assert report.branched_order == 16
+    assert (report.topologically_standard, report.topologically_standard_failed) == (
+        "unknown", "homology-circle"
+    )
+    report = rt.classify(TREFOIL_SUM, SurgeryParams(d=5, m=7), budget=1000)
+    assert report.pi1 == Pi1Verdict("cyclic", 5, "coset-enumeration")
+    assert (report.topologically_standard, report.topologically_standard_failed) == (
+        "unknown", "congruence"
+    )
 
 
 def test_classify_smith_obstruction_without_enumeration():
@@ -153,14 +169,14 @@ def test_classify_never_yes_with_obstruction():
 
 
 def test_classify_deterministic():
-    a = rt.classify(TREFOIL_SUM, SurgeryParams(d=5, m=4, cp2_degree=5))
-    b = rt.classify(TREFOIL_SUM, SurgeryParams(d=5, m=4, cp2_degree=5))
+    a = rt.classify(TREFOIL_SUM, SurgeryParams(d=5, m=4, cp2=True))
+    b = rt.classify(TREFOIL_SUM, SurgeryParams(d=5, m=4, cp2=True))
     assert a == b
     assert json.dumps(a.to_json(), sort_keys=True) == json.dumps(b.to_json(), sort_keys=True)
 
 
 def test_report_json_schema():
-    report = rt.classify(TREFOIL_SUM, SurgeryParams(d=5, m=4, cp2_degree=5))
+    report = rt.classify(TREFOIL_SUM, SurgeryParams(d=5, m=4, cp2=True))
     obj = report.to_json()
     assert set(obj) == {
         "knot", "d", "m", "alexander", "pi1", "smoothly_knotted",
