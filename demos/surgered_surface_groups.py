@@ -39,7 +39,7 @@ print()
 print("=== coset budgets make stubborn cases honest ===")
 q = rt.twist_rim_presentation(trefoil, 3, 3)
 small = rt.todd_coxeter(q, budget=500)
-print(f"  trefoil d=3 m=3 with budget 500: status={small.status} (no conclusion)")
+print(f"  trefoil d=3 m=3 with budget 500: completed={small.completed} (no conclusion)")
 
 print()
 print("=== Tietze simplification of the trefoil group ===")

@@ -11,19 +11,31 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 from .alexander import alexander_polynomial
-from .covers import (
-    CoverHomology,
-    branched_cover_order,
-    branched_cover_structure,
-    order_value,
-)
+from .covers import CoverHomology, branched_cover_order, branched_cover_structure
 from .groups import DEFAULT_COSET_BUDGET
-from .knots import KnotError, parse_knot, render
-from .laurent import poly_text
+from .knots import parse_knot
 from .surgery import SurgeryParams, SurgeryReport, determine_pi1, classify, enumerate_examples
 from .wirtinger import presentation_of_knot
+
+
+def _answers(args):
+    """The records a subcommand answers with; each renders itself as text and as JSON."""
+    if args.command == "search":
+        return enumerate_examples(args.pmax, args.qmax, args.dmax, args.mmax)
+    if args.command == "classify":
+        params = SurgeryParams(d=args.d, m=args.m, sw_nontrivial=args.sw, cp2=args.cp2)
+        return [classify(parse_knot(args.knot), params, args.budget)]
+    pres = presentation_of_knot(parse_knot(args.knot))
+    if args.command == "alexander":
+        return [alexander_polynomial(pres)]
+    if args.command == "pi1":
+        return [determine_pi1(pres, args.d, args.m, args.budget)[0]]
+    order = branched_cover_order(alexander_polynomial(pres), args.d)
+    structure = branched_cover_structure(pres, args.d) if args.structure else None
+    return [CoverHomology(args.d, order, structure)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -31,39 +43,35 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rimtwist",
         description="exact invariants of twist-surgered surfaces",
     )
+    parser.set_defaults(text=str, strict=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_alex = sub.add_parser("alexander", help="Alexander polynomial of a knot")
-    p_alex.add_argument("knot")
-    p_alex.add_argument("--json", action="store_true")
+    knot = argparse.ArgumentParser(add_help=False)
+    knot.add_argument("knot")
+    surgery = argparse.ArgumentParser(add_help=False)
+    surgery.add_argument("--d", type=int, required=True)
+    surgery.add_argument("--m", type=int, required=True)
+    surgery.add_argument("--budget", type=int, default=DEFAULT_COSET_BUDGET)
+    surgery.add_argument("--strict", action="store_true")
 
-    p_pi1 = sub.add_parser("pi1", help="fundamental group of the surgered complement")
-    p_pi1.add_argument("knot")
-    p_pi1.add_argument("--d", type=int, required=True)
-    p_pi1.add_argument("--m", type=int, required=True)
-    p_pi1.add_argument("--budget", type=int, default=DEFAULT_COSET_BUDGET)
-    p_pi1.add_argument("--strict", action="store_true")
-    p_pi1.add_argument("--json", action="store_true")
+    sub.add_parser("alexander", parents=[knot], help="Alexander polynomial of a knot")
+    sub.add_parser(
+        "pi1", parents=[knot, surgery], help="fundamental group of the surgered complement"
+    )
 
-    p_cover = sub.add_parser("cover", help="homology of the d-fold branched cover")
-    p_cover.add_argument("knot")
+    p_cover = sub.add_parser("cover", parents=[knot], help="homology of the d-fold branched cover")
     p_cover.add_argument("--d", type=int, required=True)
     p_cover.add_argument("--structure", action="store_true")
-    p_cover.add_argument("--json", action="store_true")
 
-    p_cls = sub.add_parser("classify", help="full surgery report for one knot")
-    p_cls.add_argument("knot")
-    p_cls.add_argument("--d", type=int, required=True)
-    p_cls.add_argument("--m", type=int, required=True)
-    p_cls.add_argument("--budget", type=int, default=DEFAULT_COSET_BUDGET)
+    p_cls = sub.add_parser(
+        "classify", parents=[knot, surgery], help="full surgery report for one knot"
+    )
     p_cls.add_argument(
         "--cp2",
         action="store_true",
         help="treat the surface as a degree-d curve (implies the SW hypothesis)",
     )
     p_cls.add_argument("--sw", action="store_true", help="assert the SW hypothesis")
-    p_cls.add_argument("--strict", action="store_true")
-    p_cls.add_argument("--json", action="store_true")
 
     p_search = sub.add_parser(
         "search", help="stream the smoothly-knotted-but-standard family"
@@ -72,108 +80,36 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--qmax", type=int, required=True)
     p_search.add_argument("--dmax", type=int, required=True)
     p_search.add_argument("--mmax", type=int, required=True)
-    p_search.add_argument("--json", action="store_true")
+    p_search.set_defaults(text=SurgeryReport.row_text)
 
+    # added last, so that --json still ends every subcommand's usage line
+    for command in sub.choices.values():
+        command.add_argument("--json", action="store_true")
     return parser
-
-
-def _report_text(report: SurgeryReport) -> str:
-    lines = [
-        f"knot: {render(report.knot)}",
-        f"surgery: d={report.params.d} m={report.params.m}",
-        f"alexander: {poly_text(report.alexander)}",
-        f"pi1: {report.pi1}",
-        f"pi1 obstruction: {'yes' if report.pi1_obstruction else 'no'}",
-        f"branched cover: order {order_value(report.branched_order)}",
-        f"smoothly knotted: {report.smoothly_knotted} ({report.smoothly_knotted_reason})",
-    ]
-    if report.topologically_standard_failed is None:
-        lines.append(f"topologically standard: {report.topologically_standard}")
-    else:
-        lines.append(
-            f"topologically standard: {report.topologically_standard} "
-            f"(failed: {report.topologically_standard_failed})"
-        )
-    if report.params.cp2:
-        lines.append(f"cp2: degree {report.params.d} curve, genus {report.cp2_genus}")
-    return "\n".join(lines)
-
-
-def _search_row_text(report: SurgeryReport) -> str:
-    return (
-        f"knot={render(report.knot)} d={report.params.d} m={report.params.m} "
-        f"alexander=\"{poly_text(report.alexander)}\" "
-        f"cover_order={order_value(report.branched_order)} "
-        f"smoothly_knotted={report.smoothly_knotted} "
-        f"topologically_standard={report.topologically_standard}"
-    )
 
 
 def run(argv: list[str], out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with redirect_stdout(out), redirect_stderr(err):
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 
+    code = 0
     try:
-        if args.command == "alexander":
-            delta = alexander_polynomial(presentation_of_knot(parse_knot(args.knot)))
-            if args.json:
-                print(json.dumps(delta.to_json(), sort_keys=True), file=out)
-            else:
-                print(poly_text(delta), file=out)
-            return 0
-
-        if args.command == "pi1":
-            pres = presentation_of_knot(parse_knot(args.knot))
-            verdict, _ = determine_pi1(pres, args.d, args.m, args.budget)
-            if args.json:
-                print(json.dumps(verdict.to_json(), sort_keys=True), file=out)
-            else:
-                print(str(verdict), file=out)
-            if args.strict and verdict.kind == "undetermined":
-                return 3
-            return 0
-
-        if args.command == "cover":
-            pres = presentation_of_knot(parse_knot(args.knot))
-            cover = CoverHomology(
-                d=args.d,
-                order=branched_cover_order(alexander_polynomial(pres), args.d),
-                structure=branched_cover_structure(pres, args.d) if args.structure else None,
-            )
-            if args.json:
-                print(json.dumps(cover.to_json(), sort_keys=True), file=out)
-            else:
-                print(cover, file=out)
-            return 0
-
-        if args.command == "classify":
-            params = SurgeryParams(d=args.d, m=args.m, sw_nontrivial=args.sw, cp2=args.cp2)
-            report = classify(parse_knot(args.knot), params, args.budget)
-            if args.json:
-                print(json.dumps(report.to_json(), sort_keys=True), file=out)
-            else:
-                print(_report_text(report), file=out)
-            if args.strict and report.pi1.kind == "undetermined":
-                return 3
-            return 0
-
-        if args.command == "search":
-            for report in enumerate_examples(args.pmax, args.qmax, args.dmax, args.mmax):
-                if args.json:
-                    print(json.dumps(report.to_json(), sort_keys=True), file=out)
-                else:
-                    print(_search_row_text(report), file=out)
-            return 0
-    except (KnotError, ValueError) as exc:
+        # search yields its rows as it classifies them, so each is printed at once
+        for answer in _answers(args):
+            text = json.dumps(answer.to_json(), sort_keys=True) if args.json else args.text(answer)
+            print(text, file=out)
+            # pi1 answers with its verdict, classify with a report that carries one
+            if args.strict and getattr(answer, "pi1", answer).kind == "undetermined":
+                code = 3
+    except ValueError as exc:  # KnotError is a ValueError
         print(f"error: {exc}", file=err)
         return 2
-
-    raise AssertionError("unreachable command")
+    return code
 
 
 def main():

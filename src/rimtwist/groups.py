@@ -157,20 +157,19 @@ def abelianization(p: GroupPresentation) -> AbelianInvariants:
 class CosetTable:
     """Outcome of a bounded enumeration over the trivial subgroup.
 
-    ``status`` is "complete" or "exhausted"; ``order`` is the group
-    order when complete.  ``live`` counts the cosets still live when
+    ``order`` is the group order when the table closed, None when the
+    budget ran out.  ``live`` counts the cosets still live when
     enumeration stopped, so it equals ``order`` on a complete table and
     says how far an exhausted one got.
     """
 
-    status: str
     budget: int
     order: int | None = None
     live: int = 0
 
     @property
     def completed(self) -> bool:
-        return self.status == "complete"
+        return self.order is not None
 
 
 # Cosets each column holds before its first doubling.
@@ -344,10 +343,10 @@ def todd_coxeter(p: GroupPresentation, budget: int = DEFAULT_COSET_BUDGET) -> Co
         p.generator_count, relators, budget
     )
     if not complete:
-        return CosetTable(status="exhausted", budget=budget, live=live)
+        return CosetTable(budget=budget, live=live)
     if not _closed(table, parent, defined, relators):
         raise RuntimeError("enumeration finished with an unclosed table")
-    return CosetTable(status="complete", budget=budget, order=live, live=live)
+    return CosetTable(budget=budget, order=live, live=live)
 
 
 # -- Tietze simplification ------------------------------------------------

@@ -141,17 +141,80 @@ class Pi1Verdict:
 
 @dataclass(frozen=True)
 class SurgeryReport:
+    """What ``classify`` computed for one surgered surface.
+
+    Every other verdict is read off these fields, so no report
+    contradicts itself.
+    """
+
     knot: KnotExpr
     params: SurgeryParams
     alexander: LaurentPoly
     pi1: Pi1Verdict
-    pi1_obstruction: bool
     branched_order: int | None
-    smoothly_knotted: str  # "yes" | "no-evidence"
-    smoothly_knotted_reason: str
-    topologically_standard: str  # "yes" | "no" | "unknown"
+    # the first failed test: "pi1-obstruction", "ribbon-certificate",
+    # "homology-circle" or "congruence"; None when standard
     topologically_standard_failed: str | None
-    cp2_genus: int | None
+
+    @property
+    def pi1_obstruction(self) -> bool:
+        return self.topologically_standard_failed == "pi1-obstruction"
+
+    @property
+    def topologically_standard(self) -> str:
+        """"yes", "no" (an obstruction proves it) or "unknown"."""
+        if self.topologically_standard_failed is None:
+            return "yes"
+        return "no" if self.pi1_obstruction else "unknown"
+
+    @property
+    def smoothly_knotted(self) -> str:
+        if self.params.sw_nontrivial and self.alexander != LaurentPoly.one():
+            return "yes"
+        return "no-evidence"
+
+    @property
+    def smoothly_knotted_reason(self) -> str:
+        if not self.params.sw_nontrivial:
+            return "Seiberg-Witten nontriviality hypothesis not asserted"
+        if self.alexander == LaurentPoly.one():
+            return "Alexander polynomial is trivial"
+        return (
+            "nontrivial relative Seiberg-Witten invariant times Alexander "
+            "polynomial != 1 changes the coefficient multiset"
+        )
+
+    @property
+    def cp2_genus(self) -> int | None:
+        d = self.params.d
+        return (d - 1) * (d - 2) // 2 if self.params.cp2 else None
+
+    def __str__(self) -> str:
+        lines = [
+            f"knot: {render(self.knot)}",
+            f"surgery: d={self.params.d} m={self.params.m}",
+            f"alexander: {self.alexander}",
+            f"pi1: {self.pi1}",
+            f"pi1 obstruction: {'yes' if self.pi1_obstruction else 'no'}",
+            f"branched cover: order {order_value(self.branched_order)}",
+            f"smoothly knotted: {self.smoothly_knotted} ({self.smoothly_knotted_reason})",
+            f"topologically standard: {self.topologically_standard}",
+        ]
+        if self.topologically_standard_failed is not None:
+            lines[-1] += f" (failed: {self.topologically_standard_failed})"
+        if self.params.cp2:
+            lines.append(f"cp2: degree {self.params.d} curve, genus {self.cp2_genus}")
+        return "\n".join(lines)
+
+    def row_text(self) -> str:
+        """One line of ``search`` text."""
+        return (
+            f"knot={render(self.knot)} d={self.params.d} m={self.params.m} "
+            f"alexander=\"{self.alexander}\" "
+            f"cover_order={order_value(self.branched_order)} "
+            f"smoothly_knotted={self.smoothly_knotted} "
+            f"topologically_standard={self.topologically_standard}"
+        )
 
     def to_json(self) -> dict:
         smooth = {"verdict": self.smoothly_knotted, "reason": self.smoothly_knotted_reason}
@@ -224,62 +287,21 @@ def classify(
     pres = presentation_of_knot(k)
     pi1, proven_not_cyclic = determine_pi1(pres, d, m, budget)
     delta = alexander_polynomial(pres)
-    nontrivial_delta = delta != LaurentPoly.one()
-    obstruction = proven_not_cyclic
-    if d == 2 and m % 2 == 0 and nontrivial_delta:
-        # the double branched cover of a nontrivial knot has nontrivial
-        # fundamental group, which embeds with index 2 here
-        obstruction = True
-
     order = branched_cover_order(delta, d)
-
-    if params.sw_nontrivial and nontrivial_delta:
-        smooth = "yes"
-        smooth_reason = (
-            "nontrivial relative Seiberg-Witten invariant times Alexander "
-            "polynomial != 1 changes the coefficient multiset"
-        )
-    elif not params.sw_nontrivial:
-        smooth = "no-evidence"
-        smooth_reason = "Seiberg-Witten nontriviality hypothesis not asserted"
+    # the double branched cover of a nontrivial knot has nontrivial
+    # fundamental group, which embeds with index 2 here
+    index_two = d == 2 and m % 2 == 0 and delta != LaurentPoly.one()
+    if proven_not_cyclic or index_two:
+        failed = "pi1-obstruction"
+    elif ribbon_certificate(k) != "certified":
+        failed = "ribbon-certificate"
+    elif order != 1:
+        failed = "homology-circle"
+    elif not congruent_pm1(d, m):
+        failed = "congruence"
     else:
-        smooth = "no-evidence"
-        smooth_reason = "Alexander polynomial is trivial"
-
-    if obstruction:
-        topo = "no"
-        topo_failed: str | None = "pi1-obstruction"
-    else:
-        ribbon = ribbon_certificate(k)
-        circle = order == 1
-        cong = congruent_pm1(d, m)
-        if ribbon == "certified" and circle and cong:
-            topo = "yes"
-            topo_failed = None
-        else:
-            topo = "unknown"
-            if ribbon != "certified":
-                topo_failed = "ribbon-certificate"
-            elif not circle:
-                topo_failed = "homology-circle"
-            else:
-                topo_failed = "congruence"
-
-    genus = (d - 1) * (d - 2) // 2 if params.cp2 else None
-
-    return SurgeryReport(
-        knot=k,
-        params=params,
-        alexander=delta,
-        pi1=pi1,
-        pi1_obstruction=obstruction,
-        branched_order=order,
-        smoothly_knotted=smooth,
-        smoothly_knotted_reason=smooth_reason,
-        topologically_standard=topo,
-        topologically_standard_failed=topo_failed,
-        cp2_genus=genus,
-    )
+        failed = None
+    return SurgeryReport(k, params, delta, pi1, order, failed)
 
 
 def enumerate_examples(

@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import rimtwist as rt
-from rimtwist.cli import _search_row_text, run
+from rimtwist.cli import run
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SRC = pathlib.Path(__file__).parent.parent / "src"
@@ -104,6 +104,23 @@ def test_classify_golden_json():
     assert json.dumps(json.loads(out), sort_keys=True) == json.dumps(golden, sort_keys=True)
 
 
+TEXT_GOLDENS = {
+    "classify_trefoil_sum_d5_m4.txt": [
+        "classify", "T(2,3)#mirror(T(2,3))", "--d", "5", "--m", "4", "--cp2"
+    ],
+    "classify_trefoil_d2_m2.txt": ["classify", "T(2,3)", "--d", "2", "--m", "2"],
+    "classify_trefoil_d6_m5.txt": ["classify", "T(2,3)", "--d", "6", "--m", "5"],
+    "search_p3_q5_d7_m8.txt": ["search", "--pmax", "3", "--qmax", "5", "--dmax", "7", "--mmax", "8"],
+}
+
+
+def test_text_goldens():
+    # byte-exact text for the golden cp2 case, a pi1 obstruction, an
+    # infinite-order cover without evidence, and a search sweep
+    for name, argv in TEXT_GOLDENS.items():
+        assert _run(argv) == (0, (GOLDEN / name).read_text(), ""), name
+
+
 def test_classify_text_matches_json_numbers():
     args = ["classify", "T(2,3)#mirror(T(2,3))", "--d", "5", "--m", "4", "--cp2"]
     _, text, _ = _run(args)
@@ -136,7 +153,7 @@ def test_search_streams_deterministic_rows():
 def test_search_row_text_infinite_order():
     report = rt.classify(rt.parse_knot("T(2,3)"), rt.SurgeryParams(d=6, m=5))
     assert report.branched_order is None
-    assert _search_row_text(report) == (
+    assert report.row_text() == (
         'knot=T(2,3) d=6 m=5 alexander="t^2 - t + 1" cover_order=infinite '
         "smoothly_knotted=no-evidence topologically_standard=unknown"
     )
@@ -175,6 +192,16 @@ def test_error_exit_codes():
     assert code == 2
     code, _, _ = _run(["nonsense"])
     assert code == 2
+
+
+def test_argparse_output_goes_to_run_streams():
+    code, out, err = _run(["cover", "T(2,3)"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: rimtwist cover") and "required: --d" in err
+
+    code, out, err = _run(["--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: rimtwist") and "classify" in out
 
 
 def test_module_entry_point_exit_codes():

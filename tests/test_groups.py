@@ -174,7 +174,7 @@ def test_todd_coxeter_huge_budget_allocates_nothing_up_front():
 def test_todd_coxeter_budget_exhaustion():
     free = GroupPresentation(("a",), (), 1)
     out = rt.todd_coxeter(free, budget=50)
-    assert out.status == "exhausted"
+    assert not out.completed
     assert out.order is None
     assert out.live == 50
     with pytest.raises(ValueError):
