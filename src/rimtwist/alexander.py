@@ -60,11 +60,14 @@ def reduced_alexander_blocks(
     splits what is left into column-connected components.  A component
     with one more row than columns sheds its last row: for crossing
     relators that row is the redundant one, so each block is square and
-    presents the factor's Alexander module.
+    presents the factor's Alexander module.  A deficiency-one
+    presentation of a knot group has a nonsingular square matrix, so
+    none of its components sheds a row.
 
     Returns ``(blocks, free_columns)`` where ``free_columns`` counts
-    generators no surviving relator touches (nonzero only for
-    presentations with free summands, never for knot groups).
+    generators no surviving relator touches.  It is always 0: H1 = Z
+    makes t - 1 invertible on the Alexander module, so the module has no
+    free summand.
     """
     for r in p.relators:
         if total_exponent(r) != 0:
@@ -148,9 +151,7 @@ def alexander_polynomial(p: GroupPresentation) -> LaurentPoly:
     The product of the determinants of the reduced Alexander blocks, which
     delete the meridian's column.
     """
-    blocks, free_columns = reduced_alexander_blocks(p)
-    if free_columns:
-        return LaurentPoly.zero()
+    blocks, _ = reduced_alexander_blocks(p)
     det = LaurentPoly.one()
     for block in blocks:
         det = det * laurent_det(block)

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
 
 from .alexander import alexander_polynomial
 from .covers import CoverHomology, branched_cover_order, branched_cover_structure
@@ -38,7 +39,13 @@ def _answers(args):
     return [CoverHomology(args.d, order, structure)]
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    argparse looks up ``sys.stdout`` and ``sys.stderr`` when it prints,
+    so one parser serves every ``run`` call with that call's streams.
+    """
     parser = argparse.ArgumentParser(
         prog="rimtwist",
         description="exact invariants of twist-surgered surfaces",

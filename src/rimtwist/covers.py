@@ -15,19 +15,21 @@ the (d-1)-square matrix of multiplication by f in the basis
 1, t, ..., t^(d-2), which has a closed form: fold the exponents of f
 modulo d (t^-1 = t^(d-1)) into a_0, ..., a_(d-1); then t^j f has
 coefficient a_((k-j) mod d) - a_((d-1-j) mod d) at t^k, since t^(d-1)
-reduces to -(1 + t + ... + t^(d-2)).  For Alexander blocks of total
-size n the relation matrix is dense and ((d-1) n)-square, and its Smith
-normal form dominates at large d.
+reduces to -(1 + t + ... + t^(d-2)).  The Alexander matrix comes from a
+Tietze-simplified deficiency-one presentation and is block-diagonal, so
+each block of size b gives its own (b (d-1))-square relation matrix and
+its own Smith normal form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .alexander import reduced_alexander_blocks
-from .groups import AbelianInvariants, smith_invariants
+from .groups import AbelianInvariants, smith_invariants, tietze_simplify
 from .laurent import LaurentPoly, resultant_with_cyclotomic
-from .wirtinger import GroupPresentation
+from .wirtinger import GroupPresentation, drop_redundant_crossing_relators
 
 
 def order_value(order: int | None) -> int | str:
@@ -58,40 +60,64 @@ def _cover_block(entry: LaurentPoly, d: int) -> list[list[int]]:
     return [[a[(k - j) % d] - last[j] for j in range(e)] for k in range(e)]
 
 
+def _invariant_factors(orders: list[int]) -> tuple[int, ...]:
+    """Torsion of the direct sum of the Z/c for c in ``orders``, in divisibility order.
+
+    Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b); after one pass over the later
+    entries, each entry divides all of them.
+    """
+    a = list(orders)
+    for i in range(len(a)):
+        for j in range(i + 1, len(a)):
+            g = gcd(a[i], a[j])
+            a[i], a[j] = g, a[i] // g * a[j]
+    return tuple(v for v in a if v > 1)
+
+
 def branched_cover_structure(p: GroupPresentation, d: int) -> AbelianInvariants:
     """H1 of the d-fold branched cover as an abelian group.
 
-    Replaces each entry f of the square Alexander matrix of the
-    presentation by its (d-1)-square multiplication block on
-    Z[t]/(1 + t + ... + t^(d-1)), whose entry in row k and column j is
-    a_((k-j) mod d) - a_((d-1-j) mod d) for the coefficients a of f
-    folded modulo t^d - 1, and takes the Smith normal form of the
-    resulting integer relation matrix.
+    Drops the redundant crossing relator of each diagram, which leaves a
+    deficiency-one presentation, and Tietze-simplifies it.  Tietze moves
+    keep the deficiency, so the Alexander matrix without the meridian
+    column is square, and a knot group's is nonsingular: its blocks are
+    square with no row to shed.  Each entry f of a block becomes its
+    (d-1)-square multiplication block on Z[t]/(1 + t + ... + t^(d-1)),
+    whose entry in row k and column j is a_((k-j) mod d) - a_((d-1-j) mod d)
+    for the coefficients a of f folded modulo t^d - 1; each block's
+    integer relation matrix gets its own Smith normal form, and the
+    torsion of all blocks is merged into invariant factors.
+
+    Raises ValueError for a presentation that is not a knot group's or
+    is not of deficiency one once its crossing relators are dropped.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     e = d - 1
-    blocks, free_columns = reduced_alexander_blocks(p)
+    q = tietze_simplify(drop_redundant_crossing_relators(p))
+    blocks, _ = reduced_alexander_blocks(q)
+    if len(q.relators) != q.generator_count - 1:
+        raise ValueError(
+            "presentation is not of deficiency one after dropping its redundant "
+            f"crossing relators ({len(q.relators)} relators against {q.generator_count} generators)"
+        )
     if e == 0:
         return AbelianInvariants(free_rank=0, torsion=())
-    size = sum(len(b) for b in blocks) * e
-    big = [[0] * size for _ in range(size)]
-    offset = 0
+    free_rank = 0
+    torsion: list[int] = []
     for block in blocks:
-        bn = len(block)
-        for bi in range(bn):
-            for bj in range(bn):
-                if not block[bi][bj]:
-                    continue  # big starts at zero
-                col = offset + bj * e
-                for r, sub_row in enumerate(_cover_block(block[bi][bj], d)):
-                    big[offset + bi * e + r][col : col + e] = sub_row
-        offset += bn * e
-    inv = smith_invariants(big, size)
-    return AbelianInvariants(
-        free_rank=size - len(inv) + free_columns * e,
-        torsion=tuple(v for v in inv if v > 1),
-    )
+        size = len(block) * e
+        rel = [[0] * size for _ in range(size)]
+        for bi, block_row in enumerate(block):
+            for bj, entry in enumerate(block_row):
+                if not entry:
+                    continue  # rel starts at zero
+                for r, sub_row in enumerate(_cover_block(entry, d)):
+                    rel[bi * e + r][bj * e : bj * e + e] = sub_row
+        inv = smith_invariants(rel, size)
+        free_rank += size - len(inv)
+        torsion += (v for v in inv if v > 1)
+    return AbelianInvariants(free_rank=free_rank, torsion=_invariant_factors(torsion))
 
 
 @dataclass(frozen=True)

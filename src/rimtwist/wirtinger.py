@@ -3,7 +3,7 @@
 One generator per arc of the diagram, one conjugation relator per
 crossing, a distinguished meridian generator (index 1 by convention),
 and exactly one redundant relator which is kept in the stored
-presentation.
+presentation; ``drop_redundant_crossing_relators`` removes it.
 
 Sign convention: at a positive crossing the outgoing under-arc is
 ``over * in * over^-1``; a negative crossing conjugates the other way.
@@ -11,7 +11,8 @@ Sign convention: at a positive crossing the outgoing under-arc is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 
 from .knots import (
     PD,
@@ -282,14 +283,36 @@ def mirror_expr(expr: KnotExpr) -> KnotExpr:
     raise TypeError(f"not a knot expression: {expr!r}")
 
 
+def _is_crossing_relator(r: Word) -> bool:
+    """True for a crossing relator x y x^-1 z^-1: the outgoing arc z is x y x^-1."""
+    return len(r) == 4 and r[2] == -r[0] and r[1] > 0 and r[3] < 0
+
+
 def is_wirtinger_shaped(p: GroupPresentation) -> bool:
     """True if every relator is a crossing relator x y x^-1 z^-1 (or freely trivial)."""
-    for r in p.relators:
-        if not free_reduce(r):
-            continue
-        if len(r) != 4:
-            return False
-        x, y, xi, zi = r
-        if x != -xi or y <= 0 or zi >= 0:
-            return False
-    return True
+    return all(_is_crossing_relator(r) or not free_reduce(r) for r in p.relators)
+
+
+def drop_redundant_crossing_relators(p: GroupPresentation) -> GroupPresentation:
+    """``p`` without the redundant crossing relator of each diagram it was built from.
+
+    Crossing relators whose generators connect are one diagram's
+    Wirtinger relators when they number as many as those generators (one
+    crossing per arc), and any one of them follows from the others, so
+    the last is dropped.  Other relators, such as a connected sum's
+    meridian identification, are kept.
+    """
+    arcs = _ArcUnion()
+    for _ in range(p.generator_count + 1):
+        arcs.add()
+    crossing = [i for i, r in enumerate(p.relators) if _is_crossing_relator(r)]
+    for i in crossing:
+        x, y, _, z = p.relators[i]
+        arcs.union(abs(x), y)
+        arcs.union(y, -z)
+    rows: dict[int, list[int]] = {}
+    for i in crossing:
+        rows.setdefault(arcs.find(p.relators[i][1]), []).append(i)
+    gens = Counter(arcs.find(g) for g in {abs(x) for i in crossing for x in p.relators[i]})
+    dropped = {ids[-1] for root, ids in rows.items() if len(ids) == gens[root]}
+    return replace(p, relators=tuple(r for i, r in enumerate(p.relators) if i not in dropped))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 import rimtwist as rt
 from rimtwist import LaurentPoly, fox_derivative, poly_text
 from rimtwist.alexander import reduced_alexander_blocks
-from helpers import FIGURE_EIGHT, TREFOIL, TREFOIL_SUM
+from helpers import FIGURE_EIGHT, SMALL_CORPUS, TREFOIL, TREFOIL_SUM, random_knot_braids, random_knot_exprs
 
 
 def _fox_oracle(word, gen):
@@ -117,6 +118,21 @@ def test_connected_sum_blocks():
     assert free_cols == 0
     assert sorted(len(b) for b in blocks) == [2, 2]
     assert poly_text(rt.alexander_polynomial(p)) == "t^4 - 2t^3 + 3t^2 - 2t + 1"
+
+
+def test_no_free_columns_on_knot_groups():
+    # H1 = Z leaves the Alexander module no free summand, so once the
+    # knot-group check passes no generator column is left untouched
+    knots = [k for _, k in SMALL_CORPUS] + random_knot_braids(17, 20) + random_knot_exprs(19, 20)
+    for knot in knots:
+        p = rt.presentation_of_knot(knot)
+        assert reduced_alexander_blocks(p)[1] == 0, rt.render(knot)
+        for meridian in range(2, p.generator_count + 1):
+            try:
+                _, free_cols = reduced_alexander_blocks(dataclasses.replace(p, meridian=meridian))
+            except ValueError:  # the shed rule can miss a connected sum's extra row here
+                continue
+            assert free_cols == 0, (rt.render(knot), meridian)
 
 
 def test_alexander_at_one_is_unit():

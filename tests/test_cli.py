@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import rimtwist as rt
-from rimtwist.cli import run
+from rimtwist.cli import build_parser, run
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SRC = pathlib.Path(__file__).parent.parent / "src"
@@ -195,13 +195,16 @@ def test_error_exit_codes():
 
 
 def test_argparse_output_goes_to_run_streams():
-    code, out, err = _run(["cover", "T(2,3)"])
-    assert (code, out) == (2, "")
-    assert err.startswith("usage: rimtwist cover") and "required: --d" in err
+    # the parser is built once per process; each call still prints to its own streams
+    assert build_parser() is build_parser()
+    for _ in range(2):
+        code, out, err = _run(["cover", "T(2,3)"])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: rimtwist cover") and "required: --d" in err
 
-    code, out, err = _run(["--help"])
-    assert (code, err) == (0, "")
-    assert out.startswith("usage: rimtwist") and "classify" in out
+        code, out, err = _run(["--help"])
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: rimtwist") and "classify" in out
 
 
 def test_module_entry_point_exit_codes():

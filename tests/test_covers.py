@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from math import gcd
 
@@ -6,8 +7,9 @@ import pytest
 import rimtwist as rt
 from rimtwist import AbelianInvariants, LaurentPoly
 from rimtwist.alexander import reduced_alexander_blocks
-from rimtwist.covers import _cover_block
-from helpers import FIGURE_EIGHT, SMALL_CORPUS, TREFOIL, TREFOIL_SUM
+from rimtwist.covers import _cover_block, _invariant_factors
+from rimtwist.groups import smith_invariants
+from helpers import FIGURE_EIGHT, SMALL_CORPUS, TREFOIL, TREFOIL_SUM, random_knot_braids, random_knot_exprs
 
 
 # -- reference oracle: substitute the companion matrix of 1 + t + ... + t^(d-1)
@@ -65,6 +67,115 @@ def _substitute_companion(entry, d, powers):
             for s in range(e):
                 out[r][s] += coeff * pk[r][s]
     return out
+
+
+# -- reference oracle: one dense matrix from the unsimplified Wirtinger blocks
+
+
+def _dense_structure(p, d):
+    """Branched-cover H1 from one ((d-1) n)-square matrix over all the reduced blocks.
+
+    The blocks come straight from the Wirtinger presentation, whose extra
+    row per component is shed by ``reduced_alexander_blocks``; that is sound
+    for the presentation's own meridian, not for every other one.
+    """
+    e = d - 1
+    blocks, free_columns = reduced_alexander_blocks(p)
+    if e == 0:
+        return AbelianInvariants(0, ())
+    size = sum(len(b) for b in blocks) * e
+    big = [[0] * size for _ in range(size)]
+    offset = 0
+    for block in blocks:
+        bn = len(block)
+        for bi in range(bn):
+            for bj in range(bn):
+                if block[bi][bj]:
+                    col = offset + bj * e
+                    for r, sub_row in enumerate(_cover_block(block[bi][bj], d)):
+                        big[offset + bi * e + r][col : col + e] = sub_row
+        offset += bn * e
+    inv = smith_invariants(big, size)
+    return AbelianInvariants(size - len(inv) + free_columns * e, tuple(v for v in inv if v > 1))
+
+
+# the knots of the benchmark's --structure inputs
+STRUCTURE_POOL = [
+    rt.parse_knot(text)
+    for text in (
+        "T(2,3)",
+        "mirror(T(2,3))",
+        "braid(3; 1 -2 1 -2)",
+        "T(2,5)",
+        "mirror(T(2,5))",
+        "T(2,3)#T(2,3)",
+        "T(2,3)#mirror(T(2,3))",
+        "mirror(T(2,3))#mirror(T(2,3))",
+        "braid(3; 1 -2 1 -2)#T(2,3)",
+        "braid(3; 1 -2 1 -2)#mirror(T(2,3))",
+    )
+]
+
+
+def _oracle_knots():
+    knots = {rt.render(k): k for k in [k for _, k in SMALL_CORPUS] + STRUCTURE_POOL}
+    knots.update((rt.render(k), k) for k in random_knot_braids(3, 12))
+    return list(knots.values())
+
+
+def test_structure_matches_dense_oracle():
+    for knot in _oracle_knots():
+        p = rt.presentation_of_knot(knot)
+        for d in range(2, 25):
+            assert rt.branched_cover_structure(p, d) == _dense_structure(p, d), (rt.render(knot), d)
+
+
+def test_structure_is_the_same_at_every_meridian():
+    # H1 of the branched cover is a knot invariant, so every meridian choice
+    # must give the oracle's group at the presentation's own meridian (the
+    # oracle itself refuses or errs at some others, where its shed drops a
+    # connected sum's meridian-identification relator)
+    knots = _oracle_knots() + random_knot_exprs(11, 20)
+    knots.append(rt.parse_knot("T(2,3)#T(2,5)#braid(3; 1 -2 1 -2)"))
+    for knot in knots:
+        p = rt.presentation_of_knot(knot)
+        for d in (2, 3, 5, 6, 8):
+            expected = _dense_structure(p, d)
+            for meridian in range(1, p.generator_count + 1):
+                q = dataclasses.replace(p, meridian=meridian)
+                assert rt.branched_cover_structure(q, d) == expected, (rt.render(knot), meridian, d)
+
+
+def test_structure_drops_crossing_relators_before_tietze():
+    # Tietze first would eliminate g1 through the meridian identification,
+    # and the shed would then drop the trefoil's only relator
+    p = dataclasses.replace(rt.presentation_of_knot(rt.parse_knot("braid(3; 1 -2 1 -2)#T(2,3)")), meridian=2)
+    naive = _dense_structure(rt.tietze_simplify(p), 6)
+    assert naive == AbelianInvariants(5, (8, 40))
+    assert rt.branched_cover_structure(p, 6) == AbelianInvariants(2, (8, 40))
+
+
+def test_structure_refuses_presentations_not_of_deficiency_one():
+    # the second relator is a consequence of the first, but not a crossing
+    # relator, so no row may be dropped for it
+    braid_rel = (1, 2, 1, -2, -1, -2)
+    p = rt.GroupPresentation(("a", "b"), (braid_rel, braid_rel * 2))
+    with pytest.raises(ValueError, match="deficiency one"):
+        rt.branched_cover_structure(p, 2)
+    assert rt.branched_cover_structure(dataclasses.replace(p, relators=(braid_rel,)), 2) == AbelianInvariants(0, (3,))
+
+
+def test_structure_merges_invariant_factors():
+    # one Smith normal form per block; the blocks' torsion is merged
+    def structure(text, d):
+        return rt.branched_cover_structure(rt.presentation_of_knot(rt.parse_knot(text)), d)
+
+    assert structure("T(2,3)#T(2,5)", 2) == AbelianInvariants(0, (15,))
+    assert structure("braid(3; 1 -2 1 -2)#T(2,3)", 10) == AbelianInvariants(0, (55, 825))
+    assert structure("braid(3; 1 -2 1 -2)#T(2,3)", 14) == AbelianInvariants(0, (377, 5655))
+    assert _invariant_factors([2, 3, 4, 6]) == (2, 6, 12)
+    assert _invariant_factors([9, 1, 3]) == (3, 9)
+    assert _invariant_factors([]) == ()
 
 
 def test_cover_block_matches_companion_substitution():

@@ -5,7 +5,7 @@ import pytest
 
 import rimtwist as rt
 from rimtwist import GroupPresentation
-from helpers import FIGURE_EIGHT, FIGURE_EIGHT_PD, TREFOIL_PD, random_knot_braids
+from helpers import FIGURE_EIGHT, FIGURE_EIGHT_PD, TREFOIL_PD, TREFOIL_SUM, random_knot_braids
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -139,3 +139,15 @@ def test_mirror_expr_pushdown():
     e = rt.parse_knot("mirror(T(2,3)#mirror(braid(2; 1 1 1)))")
     pushed = rt.mirror_expr(e.child)
     assert pushed == rt.ConnectedSum(rt.Braid(2, (-1, -1, -1)), rt.Braid(2, (1, 1, 1)))
+
+
+def test_drop_redundant_crossing_relators():
+    from rimtwist.wirtinger import drop_redundant_crossing_relators
+
+    # two diagrams lose their last crossing relator; the meridian identification stays
+    p = rt.presentation_of_knot(TREFOIL_SUM)
+    q = drop_redundant_crossing_relators(p)
+    assert q.relators == p.relators[:2] + p.relators[3:5] + p.relators[6:]
+    assert (q.generators, q.meridian) == (p.generators, p.meridian)
+    # with one relator per diagram gone, no diagram has a redundant one left
+    assert drop_redundant_crossing_relators(q) == q
