@@ -14,7 +14,11 @@ from math import gcd
 from .groups import abelianization
 from .knots import KnotExpr, KnotSemanticError
 from .laurent import LaurentPoly, laurent_det
-from .wirtinger import GroupPresentation, presentation_of_knot
+from .wirtinger import (
+    GroupPresentation,
+    drop_redundant_crossing_relators,
+    presentation_of_knot,
+)
 from .words import Word, total_exponent
 
 
@@ -57,12 +61,10 @@ def reduced_alexander_blocks(
     column per generator) without the meridian column, then repeatedly
     strips rows whose single nonzero entry is a unit together with their
     column (the generator they kill), drops freely-trivial rows, and
-    splits what is left into column-connected components.  A component
-    with one more row than columns sheds its last row: for crossing
-    relators that row is the redundant one, so each block is square and
-    presents the factor's Alexander module.  A deficiency-one
-    presentation of a knot group has a nonsingular square matrix, so
-    none of its components sheds a row.
+    splits what is left into column-connected components.  A
+    deficiency-one presentation of a knot group has a nonsingular square
+    matrix, so each component is a square block presenting a factor's
+    Alexander module; any other shape raises ValueError.
 
     Returns ``(blocks, free_columns)`` where ``free_columns`` counts
     generators no surviving relator touches.  It is always 0: H1 = Z
@@ -134,8 +136,6 @@ def reduced_alexander_blocks(
         ridx = comp_rows[root]
         if not ridx:
             continue
-        if len(ridx) == len(cols) + 1:
-            ridx = ridx[:-1]
         if len(ridx) != len(cols):
             raise ValueError(
                 "presentation does not reduce to square Alexander blocks "
@@ -149,9 +149,10 @@ def alexander_polynomial(p: GroupPresentation) -> LaurentPoly:
     """Alexander polynomial of a knot-group presentation, normalized.
 
     The product of the determinants of the reduced Alexander blocks, which
-    delete the meridian's column.
+    delete the meridian's column, of ``p`` without the redundant crossing
+    relator of each diagram.
     """
-    blocks, _ = reduced_alexander_blocks(p)
+    blocks, _ = reduced_alexander_blocks(drop_redundant_crossing_relators(p))
     det = LaurentPoly.one()
     for block in blocks:
         det = det * laurent_det(block)

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from math import gcd
 
 from .alexander import reduced_alexander_blocks
-from .groups import AbelianInvariants, smith_invariants, tietze_simplify
+from .groups import AbelianInvariants, reduced_knot_presentation, smith_invariants
 from .laurent import LaurentPoly, resultant_with_cyclotomic
-from .wirtinger import GroupPresentation, drop_redundant_crossing_relators
+from .wirtinger import GroupPresentation
 
 
 def order_value(order: int | None) -> int | str:
@@ -94,13 +94,13 @@ def branched_cover_structure(p: GroupPresentation, d: int) -> AbelianInvariants:
     if d < 1:
         raise ValueError("d must be >= 1")
     e = d - 1
-    q = tietze_simplify(drop_redundant_crossing_relators(p))
-    blocks, _ = reduced_alexander_blocks(q)
+    q = reduced_knot_presentation(p)
     if len(q.relators) != q.generator_count - 1:
         raise ValueError(
             "presentation is not of deficiency one after dropping its redundant "
             f"crossing relators ({len(q.relators)} relators against {q.generator_count} generators)"
         )
+    blocks, _ = reduced_alexander_blocks(q)
     if e == 0:
         return AbelianInvariants(free_rank=0, torsion=())
     free_rank = 0

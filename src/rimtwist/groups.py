@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from .wirtinger import GroupPresentation
+from .wirtinger import GroupPresentation, drop_redundant_crossing_relators
 from .words import Word, canonical_cyclic, cyclic_reduce, invert, substitute
 
 DEFAULT_COSET_BUDGET = 10**6
@@ -278,20 +278,33 @@ def _enumerate_cosets(
                         j -= 1
                     if j < i:
                         break
-                    if j == i:
+                    # define fresh cosets along the gap: after each one
+                    # both scans stop again at once, unless the
+                    # definition also filled the backward entry or the
+                    # next letter cancels this one
+                    while j > i:
+                        if defined == budget:
+                            return table, parent, defined, live, False
+                        if defined == cap:
+                            grow()
+                        col = fwd[i]
+                        col[f] = defined
+                        bwd[i][defined] = f
+                        parent.append(defined)
+                        defined += 1
+                        live += 1
+                        if col is bwd[j] and f == b:
+                            break
+                        f = col[f]
+                        i += 1
+                        if fwd[i] is bwd[i - 1]:
+                            break
+                    else:
+                        # one letter left: deduce it
                         fwd[i][f] = b
                         bwd[i][b] = f
                         f = b
                         break
-                    if defined == budget:
-                        return table, parent, defined, live, False
-                    if defined == cap:
-                        grow()
-                    fwd[i][f] = defined
-                    bwd[i][defined] = f
-                    parent.append(defined)
-                    defined += 1
-                    live += 1
                 if f != b:
                     live -= coincidence(f, b)
                     if parent[alpha] != alpha:
@@ -421,3 +434,13 @@ def tietze_simplify(p: GroupPresentation) -> GroupPresentation:
                 changed = True
                 break
     return GroupPresentation(tuple(gens), tuple(relators), meridian)
+
+
+def reduced_knot_presentation(p: GroupPresentation) -> GroupPresentation:
+    """The same group on fewer generators: crossing relators dropped, then Tietze.
+
+    Drops the redundant crossing relator of each diagram, which leaves a
+    knot group's Wirtinger presentation of deficiency one, and
+    Tietze-simplifies the rest; the meridian survives both steps.
+    """
+    return tietze_simplify(drop_redundant_crossing_relators(p))

@@ -21,6 +21,7 @@ from .groups import (
     DEFAULT_COSET_BUDGET,
     AbelianInvariants,
     abelianization,
+    reduced_knot_presentation,
     todd_coxeter,
 )
 from .knots import ConnectedSum, KnotExpr, Mirror, TorusKnot, Unknot, render
@@ -67,9 +68,10 @@ def twist_rim_presentation(p: GroupPresentation, d: int, m: int) -> GroupPresent
 
     Extends the knot-group presentation by mu^d and, for every
     non-meridian generator g, the twist-invariance relator
-    g^-1 mu^-m g mu^m: the twist acts on each Wirtinger generator by
-    conjugation with the meridian, so invariance of the generators
-    forces invariance of the whole group.
+    g^-1 mu^-m g mu^m: the twist acts by conjugation with mu^m, so the
+    group must make mu^m central.  That holds exactly when mu^m commutes
+    with each generator, so the construction is valid on any generating
+    set that contains the meridian, Wirtinger or Tietze-reduced.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -265,14 +267,20 @@ def cyclic_verdict(
 def determine_pi1(
     p: GroupPresentation, d: int, m: int, budget: int
 ) -> tuple[Pi1Verdict, bool]:
-    """Pi1 verdict plus whether the group is proven different from Z/d."""
+    """Pi1 verdict plus whether the group is proven different from Z/d.
+
+    Outside the congruence d = +/-1 mod m, the twist-rim group is built
+    on ``reduced_knot_presentation(p)``, so ``budget`` counts the cosets
+    of a presentation on fewer generators than the Wirtinger one.
+    """
     if d < 1:
         raise ValueError("d must be >= 1")
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if congruent_pm1(d, m):
         return Pi1Verdict("cyclic", d, "congruence"), False
-    return cyclic_verdict(twist_rim_presentation(p, d, m), d, budget)
+    group = twist_rim_presentation(reduced_knot_presentation(p), d, m)
+    return cyclic_verdict(group, d, budget)
 
 
 def classify(

@@ -6,6 +6,7 @@ import pytest
 import rimtwist as rt
 from rimtwist import LaurentPoly, fox_derivative, poly_text
 from rimtwist.alexander import reduced_alexander_blocks
+from rimtwist.wirtinger import drop_redundant_crossing_relators
 from helpers import FIGURE_EIGHT, SMALL_CORPUS, TREFOIL, TREFOIL_SUM, random_knot_braids, random_knot_exprs
 
 
@@ -71,6 +72,11 @@ def test_alexander_rejects_non_knot_presentation():
     two_free = rt.GroupPresentation(("g1", "g2"), (), 1)
     with pytest.raises(ValueError, match="abelianization"):
         rt.alexander_polynomial(two_free)
+    # a knot group of deficiency zero with no crossing relator left to drop
+    # has no square blocks, and no row is guessed away
+    t34 = rt.tietze_simplify(rt.presentation_of_knot(rt.parse_knot("T(3,4)")))
+    with pytest.raises(ValueError, match="square Alexander blocks"):
+        rt.alexander_polynomial(t34)
 
 
 def test_torus_alexander_examples():
@@ -90,10 +96,12 @@ def test_torus_alexander_matches_fox_route():
 
 def test_alexander_matrix_entries():
     # the trefoil's one block is its Fox matrix without the meridian column
-    # and without the last relator row
+    # and without the redundant (last) crossing relator row
     p = rt.presentation_of_knot(TREFOIL)
     assert (p.generator_count, len(p.relators), p.meridian) == (3, 3, 1)
-    blocks, free_cols = reduced_alexander_blocks(p)
+    q = drop_redundant_crossing_relators(p)
+    assert q.relators == p.relators[:2]
+    blocks, free_cols = reduced_alexander_blocks(q)
     assert free_cols == 0
     assert blocks == [[[fox_derivative(r, j) for j in (2, 3)] for r in p.relators[:2]]]
     assert poly_text(rt.laurent_det(blocks[0]).normalize()) == "t^2 - t + 1"
@@ -114,7 +122,7 @@ def test_choice_independence_exhaustive_small_knots():
 
 def test_connected_sum_blocks():
     p = rt.presentation_of_knot(TREFOIL_SUM)
-    blocks, free_cols = reduced_alexander_blocks(p)
+    blocks, free_cols = reduced_alexander_blocks(drop_redundant_crossing_relators(p))
     assert free_cols == 0
     assert sorted(len(b) for b in blocks) == [2, 2]
     assert poly_text(rt.alexander_polynomial(p)) == "t^4 - 2t^3 + 3t^2 - 2t + 1"
@@ -125,14 +133,34 @@ def test_no_free_columns_on_knot_groups():
     # knot-group check passes no generator column is left untouched
     knots = [k for _, k in SMALL_CORPUS] + random_knot_braids(17, 20) + random_knot_exprs(19, 20)
     for knot in knots:
-        p = rt.presentation_of_knot(knot)
-        assert reduced_alexander_blocks(p)[1] == 0, rt.render(knot)
-        for meridian in range(2, p.generator_count + 1):
-            try:
-                _, free_cols = reduced_alexander_blocks(dataclasses.replace(p, meridian=meridian))
-            except ValueError:  # the shed rule can miss a connected sum's extra row here
-                continue
+        p = drop_redundant_crossing_relators(rt.presentation_of_knot(knot))
+        for meridian in range(1, p.generator_count + 1):
+            _, free_cols = reduced_alexander_blocks(dataclasses.replace(p, meridian=meridian))
             assert free_cols == 0, (rt.render(knot), meridian)
+
+
+def test_meridian_choice_on_connected_sums():
+    # a connected sum's meridian-identification relator is no crossing
+    # relator: at other meridians it raised or gave 0 when the blocks shed
+    # their last row in place of the redundant crossing relator
+    sums = [
+        "T(2,3)#unknot",
+        "unknot#T(2,3)",
+        "T(3,4)#mirror(T(3,4))",
+        "T(2,5)#T(2,3)#mirror(T(2,5))",
+        "braid(3; 1 -2 1 -2)#T(2,3)",
+    ]
+    knots = [k for _, k in SMALL_CORPUS] + [rt.parse_knot(s) for s in sums]
+    for knot in knots + random_knot_exprs(11, 40):
+        p = rt.presentation_of_knot(knot)
+        reference = rt.alexander_polynomial(p)
+        for meridian in range(2, p.generator_count + 1):
+            got = rt.alexander_polynomial(dataclasses.replace(p, meridian=meridian))
+            assert got.unit_equal(reference), (rt.render(knot), meridian)
+    mixed = rt.presentation_of_knot(rt.parse_knot("mirror(mirror(T(2,5)))#unknot#braid(2; 1)"))
+    for meridian in (2, 3, 4):
+        got = rt.alexander_polynomial(dataclasses.replace(mixed, meridian=meridian))
+        assert poly_text(got) == "t^4 - t^3 + t^2 - t + 1"
 
 
 def test_alexander_at_one_is_unit():

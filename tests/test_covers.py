@@ -9,6 +9,7 @@ from rimtwist import AbelianInvariants, LaurentPoly
 from rimtwist.alexander import reduced_alexander_blocks
 from rimtwist.covers import _cover_block, _invariant_factors
 from rimtwist.groups import smith_invariants
+from rimtwist.wirtinger import drop_redundant_crossing_relators
 from helpers import FIGURE_EIGHT, SMALL_CORPUS, TREFOIL, TREFOIL_SUM, random_knot_braids, random_knot_exprs
 
 
@@ -75,12 +76,11 @@ def _substitute_companion(entry, d, powers):
 def _dense_structure(p, d):
     """Branched-cover H1 from one ((d-1) n)-square matrix over all the reduced blocks.
 
-    The blocks come straight from the Wirtinger presentation, whose extra
-    row per component is shed by ``reduced_alexander_blocks``; that is sound
-    for the presentation's own meridian, not for every other one.
+    The blocks come from the Wirtinger presentation without its redundant
+    crossing relators, with no Tietze move.
     """
     e = d - 1
-    blocks, free_columns = reduced_alexander_blocks(p)
+    blocks, free_columns = reduced_alexander_blocks(drop_redundant_crossing_relators(p))
     if e == 0:
         return AbelianInvariants(0, ())
     size = sum(len(b) for b in blocks) * e
@@ -132,9 +132,7 @@ def test_structure_matches_dense_oracle():
 
 def test_structure_is_the_same_at_every_meridian():
     # H1 of the branched cover is a knot invariant, so every meridian choice
-    # must give the oracle's group at the presentation's own meridian (the
-    # oracle itself refuses or errs at some others, where its shed drops a
-    # connected sum's meridian-identification relator)
+    # must give the oracle's group at the presentation's own meridian
     knots = _oracle_knots() + random_knot_exprs(11, 20)
     knots.append(rt.parse_knot("T(2,3)#T(2,5)#braid(3; 1 -2 1 -2)"))
     for knot in knots:
@@ -148,10 +146,11 @@ def test_structure_is_the_same_at_every_meridian():
 
 def test_structure_drops_crossing_relators_before_tietze():
     # Tietze first would eliminate g1 through the meridian identification,
-    # and the shed would then drop the trefoil's only relator
+    # leaving a block with one row more than columns and no crossing
+    # relator left to drop
     p = dataclasses.replace(rt.presentation_of_knot(rt.parse_knot("braid(3; 1 -2 1 -2)#T(2,3)")), meridian=2)
-    naive = _dense_structure(rt.tietze_simplify(p), 6)
-    assert naive == AbelianInvariants(5, (8, 40))
+    with pytest.raises(ValueError, match="square Alexander blocks"):
+        _dense_structure(rt.tietze_simplify(p), 6)
     assert rt.branched_cover_structure(p, 6) == AbelianInvariants(2, (8, 40))
 
 
@@ -194,7 +193,8 @@ def test_cover_block_matches_companion_substitution():
 
 
 def test_cover_block_matches_companion_substitution_on_t57():
-    blocks, _ = reduced_alexander_blocks(rt.presentation_of_knot(rt.parse_knot("T(5,7)")))
+    p = drop_redundant_crossing_relators(rt.presentation_of_knot(rt.parse_knot("T(5,7)")))
+    blocks, _ = reduced_alexander_blocks(p)
     entries = {entry for block in blocks for row in block for entry in row}
     assert not all(entries)
     for d in (2, 7, 24):

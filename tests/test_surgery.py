@@ -1,13 +1,15 @@
 import inspect
 import json
+import tracemalloc
 from math import gcd
 
 import pytest
 
 import rimtwist as rt
 from rimtwist import GroupPresentation, Pi1Verdict, SurgeryParams, congruent_pm1
+from rimtwist.groups import reduced_knot_presentation
 from rimtwist.surgery import determine_pi1
-from helpers import FIGURE_EIGHT, TREFOIL, TREFOIL_SUM
+from helpers import FIGURE_EIGHT, SMALL_CORPUS, TREFOIL, TREFOIL_SUM
 
 
 def test_params_validation():
@@ -247,6 +249,55 @@ def test_determine_pi1_rejects_bad_d():
         assert congruent_pm1(d, m)
         with pytest.raises(ValueError, match="d must be >= 1"):
             determine_pi1(tre, d, m, 10)
+
+
+def test_determine_pi1_matches_wirtinger_route():
+    # the oracle enumerates the twist-rim group on the Wirtinger generators;
+    # production enumerates it on the reduced presentation, which may decide
+    # more within a budget but never decides differently
+    knots = [k for _, k in SMALL_CORPUS] + [rt.parse_knot("T(2,7)"), rt.parse_knot("T(3,5)")]
+    stronger = 0
+    for knot in knots:
+        p = rt.presentation_of_knot(knot)
+        for d in range(2, 8):
+            for m in range(-2, 9):
+                if congruent_pm1(d, m):
+                    continue
+                for budget in (3000, 50000):
+                    want = rt.cyclic_verdict(rt.twist_rim_presentation(p, d, m), d, budget)
+                    got = determine_pi1(p, d, m, budget)
+                    if got != want:
+                        case = (rt.render(knot), d, m, budget, want, got)
+                        assert want[0].kind == "undetermined", case
+                        assert got[0].kind != "undetermined", case
+                        stronger += 1
+    assert stronger > 0
+
+
+def test_determine_pi1_decides_more_on_the_reduced_presentation():
+    # both run out of budget on the Wirtinger generators
+    t25 = rt.presentation_of_knot(rt.parse_knot("T(2,5)"))
+    assert determine_pi1(t25, 3, 3, 3000) == (
+        Pi1Verdict("finite", 360, "coset-enumeration"), True
+    )
+    t35 = rt.presentation_of_knot(rt.parse_knot("T(3,5)"))
+    assert determine_pi1(t35, 6, 8, 50000) == (
+        Pi1Verdict("finite", 720, "coset-enumeration"), True
+    )
+
+
+def test_determine_pi1_memory_on_the_reduced_group():
+    # 3 generators in place of 6, so the exhausted table holds half the columns
+    p = rt.presentation_of_knot(TREFOIL_SUM)
+    assert reduced_knot_presentation(p).generator_count == 3
+    tracemalloc.start()
+    try:
+        verdict = determine_pi1(p, 2, 20, 50000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict == (Pi1Verdict("undetermined", None, "budget-exhausted"), False)
+    assert peak < 5 * 2**20
 
 
 def test_enumerate_examples_small_bounds_empty():
