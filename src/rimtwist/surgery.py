@@ -21,6 +21,7 @@ from .groups import (
     DEFAULT_COSET_BUDGET,
     AbelianInvariants,
     abelianization,
+    kernel_homology,
     reduced_knot_presentation,
     todd_coxeter,
 )
@@ -121,7 +122,17 @@ def ribbon_certificate(k: KnotExpr) -> str:
 
 @dataclass(frozen=True)
 class Pi1Verdict:
-    """What is known about the surgered complement's fundamental group."""
+    """What is known about the surgered complement's fundamental group.
+
+    ``certificate`` names what decided the verdict: ``congruence`` and
+    ``coset-enumeration`` for a cyclic or finite group;
+    ``infinite-cover-homology`` (a free summand in H1 of the index-d
+    kernel or of its commutator subgroup), ``kernel-homology`` (a
+    nontrivial H1 of the index-d kernel) and ``abelianization-mismatch``
+    for an undetermined group proven not Z/d; ``budget-exhausted`` for
+    one about which nothing is proven.  The proven-not-Z/d certificates
+    keep the kind undetermined, so ``--strict`` exits 3 on them too.
+    """
 
     kind: str  # "cyclic" | "finite" | "undetermined"
     order: int | None
@@ -243,17 +254,37 @@ def cyclic_verdict(
 ) -> tuple[Pi1Verdict, bool]:
     """Whether a presented group is Z/d, plus whether it is proven not to be.
 
-    Cyclic needs a completed enumeration of order d together with
-    abelianization exactly Z/d (a finite group surjecting onto an
-    abelian group of the same order is that group).  A completed
-    enumeration of another order, or an abelianization other than Z/d,
-    proves the group is not Z/d.  Budget exhaustion with a consistent
-    abelianization decides nothing.
+    The checks run in this order:
+
+    1. Abelianization against Z/d.
+    2. ``kernel_homology``: H1 of the kernel K of G -> Z/d that sends
+       every generator to 1, and of K' = [K, K] when H1(K) is finite,
+       nontrivial and of small index.  A free summand in either proves
+       G infinite, so the verdict is undetermined with certificate
+       ``infinite-cover-homology``, proven not Z/d, and enumeration is
+       skipped: enumeration over the trivial subgroup closes only on a
+       finite group, so on an infinite one it could only exhaust its
+       budget, and no verdict is lost.
+    3. Bounded coset enumeration.  Cyclic needs a completed
+       enumeration of order d together with abelianization exactly Z/d
+       (a finite group surjecting onto an abelian group of the same
+       order is that group); a completed enumeration of another order
+       is ``finite``.
+    4. On an exhausted budget: an abelianization other than Z/d gives
+       ``abelianization-mismatch``, and a nontrivial H1(K) gives
+       ``kernel-homology`` (were G = Z/d, K would be trivial), both
+       proven not Z/d.  Otherwise ``budget-exhausted`` decides nothing.
+
+    The certificates of steps 2 and 4 keep the kind undetermined, so
+    ``--strict`` still exits 3 on them.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     expected = AbelianInvariants(free_rank=0, torsion=(d,) if d > 1 else ())
     ab_ok = abelianization(group) == expected
+    kernels = kernel_homology(group, d)
+    if any(h.free_rank for h in kernels):
+        return Pi1Verdict("undetermined", None, "infinite-cover-homology"), True
     table = todd_coxeter(group, budget)
     if table.completed:
         if table.order == d and ab_ok:
@@ -261,6 +292,8 @@ def cyclic_verdict(
         return Pi1Verdict("finite", table.order, "coset-enumeration"), True
     if not ab_ok:
         return Pi1Verdict("undetermined", None, "abelianization-mismatch"), True
+    if kernels and kernels[0].order() != 1:
+        return Pi1Verdict("undetermined", None, "kernel-homology"), True
     return Pi1Verdict("undetermined", None, "budget-exhausted"), False
 
 

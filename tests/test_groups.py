@@ -11,8 +11,10 @@ from rimtwist import AbelianInvariants, GroupPresentation, Pi1Verdict
 from rimtwist.groups import (
     _closed,
     _enumerate_cosets,
+    _homology,
     _root,
     _word_to_cols,
+    kernel_homology,
     reduced_knot_presentation,
     smith_invariants,
 )
@@ -81,6 +83,23 @@ def test_smith_against_sympy_oracle():
         if i % 3 == 0 and nrows > 1:
             # singular: one row a combination of two others
             mat[-1] = [2 * x - 3 * y for x, y in zip(mat[0], mat[-2])]
+        expected = [
+            abs(int(v))
+            for v in invariant_factors(sympy.Matrix(mat), domain=sympy.ZZ)
+            if v != 0
+        ]
+        assert smith_invariants(mat, ncols) == expected, mat
+    # Reidemeister-Schreier-shaped: sparse rows of mostly +/-1 entries, with
+    # zero rows and columns no row touches, so the unit-pivot phase does
+    # most of the work and leaves fill-in to the dense loop
+    for _ in range(40):
+        nrows = rng.randint(1, 16)
+        ncols = rng.randint(1, 14)
+        touched = rng.sample(range(ncols), rng.randint(1, ncols))
+        mat = [[0] * ncols for _ in range(nrows)]
+        for row in mat:
+            for j in rng.sample(touched, min(len(touched), rng.randint(0, 4))):
+                row[j] = rng.choice((1, -1, 1, -1, 1, -1, 2, -2, 3))
         expected = [
             abs(int(v))
             for v in invariant_factors(sympy.Matrix(mat), domain=sympy.ZZ)
@@ -461,3 +480,74 @@ def test_cyclic_verdict_abelianization_certificate():
     assert rt.cyclic_verdict(cyclic6, 5, budget=1) == (
         Pi1Verdict("undetermined", None, "abelianization-mismatch"), True
     )
+    # no map sends g to 1 in Z/5, since the exponent sum 6 is not 0 mod 5,
+    # so no kernel is taken
+    assert kernel_homology(cyclic6, 5) == []
+
+
+def _sympy_kernel_h1(p, d):
+    """H1 of the kernel of G -> Z/d, by sympy's Reidemeister-Schreier."""
+    from sympy.combinatorics.fp_groups import FpGroup, reidemeister_presentation
+    from sympy.combinatorics.free_groups import free_group
+
+    free, *xs = free_group(" ".join(f"x{i}" for i in range(p.generator_count)))
+
+    def word(w):
+        out = free.identity
+        for x in w:
+            out *= xs[abs(x) - 1] ** (1 if x > 0 else -1)
+        return out
+
+    a = xs[0]
+    schreier = [a**i * x * a ** -(i + 1) for i in range(d) for x in xs]
+    gens, rels = reidemeister_presentation(FpGroup(free, [word(r) for r in p.relators]), schreier)
+    column = {g.array_form[0][0]: k for k, g in enumerate(gens)}
+    rows = []
+    for r in rels:
+        row = [0] * len(gens)
+        for symbol, e in r.array_form:
+            row[column[symbol]] += e
+        rows.append(row)
+    factors = smith_invariants(rows, len(gens))
+    return AbelianInvariants(len(gens) - len(factors), tuple(t for t in factors if t > 1))
+
+
+def test_kernel_homology_against_sympy_oracle():
+    pytest.importorskip("sympy")
+    cases = [("T(2,3)", 3, 3), ("T(2,3)", 5, 7), ("T(2,3)#mirror(T(2,3))", 2, 4)]
+    for text, d, m in cases:
+        p = reduced_knot_presentation(rt.presentation_of_knot(rt.parse_knot(text)))
+        group = rt.twist_rim_presentation(p, d, m)
+        assert kernel_homology(group, d)[0] == _sympy_kernel_h1(group, d), (text, d, m)
+
+
+def test_homology_images_satisfy_the_relations():
+    # each basis vector's image respects every relation row, and the images
+    # generate the whole finite group
+    rng = random.Random(61)
+    checked = 0
+    for _ in range(200):
+        ncols = rng.randint(1, 5)
+        rows = [
+            {j: rng.choice((1, -1, 2, -2, 3, 4)) for j in rng.sample(range(ncols), rng.randint(1, ncols))}
+            for _ in range(rng.randint(ncols, ncols + 3))
+        ]
+        group, images = _homology([dict(r) for r in rows], ncols)
+        if group.free_rank:
+            assert images is None
+            continue
+        torsion = group.torsion
+        for row in rows:
+            total = [sum(a * images[j][i] for j, a in row.items()) % t for i, t in enumerate(torsion)]
+            assert not any(total), (rows, images)
+        reached = {(0,) * len(torsion)}
+        frontier = list(reached)
+        for v in frontier:
+            for image in images:
+                w = tuple((a + b) % t for a, b, t in zip(v, image, torsion))
+                if w not in reached:
+                    reached.add(w)
+                    frontier.append(w)
+        assert len(reached) == group.order(), (rows, images)
+        checked += 1
+    assert checked > 50

@@ -1,13 +1,14 @@
 import inspect
 import json
 import tracemalloc
+from collections import Counter
 from math import gcd
 
 import pytest
 
 import rimtwist as rt
 from rimtwist import GroupPresentation, Pi1Verdict, SurgeryParams, congruent_pm1
-from rimtwist.groups import reduced_knot_presentation
+from rimtwist.groups import kernel_homology, reduced_knot_presentation
 from rimtwist.surgery import determine_pi1
 from helpers import FIGURE_EIGHT, SMALL_CORPUS, TREFOIL, TREFOIL_SUM
 
@@ -251,12 +252,33 @@ def test_determine_pi1_rejects_bad_d():
             determine_pi1(tre, d, m, 10)
 
 
+def _enumerated_verdict(group, d, budget):
+    """The verdict from abelianization and coset enumeration alone."""
+    expected = rt.AbelianInvariants(0, (d,) if d > 1 else ())
+    ab_ok = rt.abelianization(group) == expected
+    table = rt.todd_coxeter(group, budget)
+    if table.completed:
+        if table.order == d and ab_ok:
+            return Pi1Verdict("cyclic", d, "coset-enumeration"), False
+        return Pi1Verdict("finite", table.order, "coset-enumeration"), True
+    if not ab_ok:
+        return Pi1Verdict("undetermined", None, "abelianization-mismatch"), True
+    return Pi1Verdict("undetermined", None, "budget-exhausted"), False
+
+
+def _strength(verdict):
+    """2 for a decided verdict, 1 for proven not Z/d, 0 for nothing."""
+    pi1, proven_not_cyclic = verdict
+    return 2 if pi1.kind != "undetermined" else int(proven_not_cyclic)
+
+
 def test_determine_pi1_matches_wirtinger_route():
-    # the oracle enumerates the twist-rim group on the Wirtinger generators;
-    # production enumerates it on the reduced presentation, which may decide
-    # more within a budget but never decides differently
+    # the oracle enumerates the twist-rim group on the Wirtinger generators,
+    # with no Reidemeister-Schreier certificate; production enumerates it on
+    # the reduced presentation after the kernel checks.  A decided verdict
+    # never changes, and no verdict gets weaker
     knots = [k for _, k in SMALL_CORPUS] + [rt.parse_knot("T(2,7)"), rt.parse_knot("T(3,5)")]
-    stronger = 0
+    changes = Counter()
     for knot in knots:
         p = rt.presentation_of_knot(knot)
         for d in range(2, 8):
@@ -264,14 +286,38 @@ def test_determine_pi1_matches_wirtinger_route():
                 if congruent_pm1(d, m):
                     continue
                 for budget in (3000, 50000):
-                    want = rt.cyclic_verdict(rt.twist_rim_presentation(p, d, m), d, budget)
+                    want = _enumerated_verdict(rt.twist_rim_presentation(p, d, m), d, budget)
                     got = determine_pi1(p, d, m, budget)
-                    if got != want:
-                        case = (rt.render(knot), d, m, budget, want, got)
-                        assert want[0].kind == "undetermined", case
-                        assert got[0].kind != "undetermined", case
-                        stronger += 1
-    assert stronger > 0
+                    case = (rt.render(knot), d, m, budget, want, got)
+                    if want[0].kind != "undetermined":
+                        assert got == want, case
+                    assert _strength(got) >= _strength(want), case
+                    if rt.render(knot) == "T(2,3)#mirror(T(2,3))" and d == 2 and m % 2 == 0:
+                        assert got[0].certificate == "infinite-cover-homology", case
+                    changes[want[0].certificate, got[0].certificate] += 1
+    assert sum(changes.values()) == 490
+    assert changes["budget-exhausted", "coset-enumeration"] > 0
+    assert changes["budget-exhausted", "infinite-cover-homology"] > 0
+    assert changes["budget-exhausted", "kernel-homology"] > 0
+
+
+def test_pi1_kernel_certificates():
+    # T(2,3)#mirror(T(2,3)) at d = 2: H1(K) = Z/3 + Z/3, and [K, K] at
+    # index 18 has a free summand, so enumeration is skipped
+    group = rt.twist_rim_presentation(reduced_knot_presentation(rt.presentation_of_knot(TREFOIL_SUM)), 2, 4)
+    kernel, commutator = kernel_homology(group, 2)
+    assert kernel == rt.AbelianInvariants(0, (3, 3)) and commutator.free_rank > 0
+    assert determine_pi1(rt.presentation_of_knot(TREFOIL_SUM), 2, 4, 10**6) == (
+        Pi1Verdict("undetermined", None, "infinite-cover-homology"), True
+    )
+    # T(2,3) at d = 3, m = 3: H1(K) = Z/2 + Z/2 and the group still
+    # enumerates to order 24 (K is the quaternion group, [K, K] = Z/2);
+    # once the budget runs out, the kernel proves it is not Z/3
+    tre = rt.presentation_of_knot(TREFOIL)
+    group = rt.twist_rim_presentation(reduced_knot_presentation(tre), 3, 3)
+    assert kernel_homology(group, 3) == [rt.AbelianInvariants(0, (2, 2)), rt.AbelianInvariants(0, (2,))]
+    assert determine_pi1(tre, 3, 3, 10**6) == (Pi1Verdict("finite", 24, "coset-enumeration"), True)
+    assert determine_pi1(tre, 3, 3, 3) == (Pi1Verdict("undetermined", None, "kernel-homology"), True)
 
 
 def test_determine_pi1_decides_more_on_the_reduced_presentation():
@@ -287,12 +333,14 @@ def test_determine_pi1_decides_more_on_the_reduced_presentation():
 
 
 def test_determine_pi1_memory_on_the_reduced_group():
-    # 3 generators in place of 6, so the exhausted table holds half the columns
-    p = rt.presentation_of_knot(TREFOIL_SUM)
+    # 3 generators in place of 8, so the exhausted table holds 6 columns, not 16;
+    # the kernel's H1 is trivial, so enumeration runs and exhausts
+    p = rt.presentation_of_knot(rt.parse_knot("T(3,4)"))
+    assert p.generator_count == 8
     assert reduced_knot_presentation(p).generator_count == 3
     tracemalloc.start()
     try:
-        verdict = determine_pi1(p, 2, 20, 50000)
+        verdict = determine_pi1(p, 5, 5, 50000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
