@@ -1,5 +1,5 @@
 """Cyclic branched covers: the order product formula against the Smith
-normal form of the companion-matrix presentation, plus the homology
+normal form of the Reidemeister-Schreier presentation, plus the homology
 spheres coming from torus knots with pairwise coprime parameters.
 
 Run:  python demos/branched_covers.py
@@ -11,7 +11,7 @@ import rimtwist as rt
 from rimtwist.covers import order_value
 
 print("=== |H1| of d-fold branched covers, two independent algorithms ===")
-print("    (resultant of t^d - 1 against Delta  vs  companion-matrix SNF)")
+print("    (resultant of t^d - 1 against Delta  vs  Reidemeister-Schreier SNF)")
 for text in ["T(2,3)", "braid(3; 1 -2 1 -2)", "T(2,5)"]:
     knot = rt.parse_knot(text)
     pres = rt.presentation_of_knot(knot)

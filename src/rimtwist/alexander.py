@@ -48,14 +48,32 @@ def fox_derivative(w: Word, gen: int) -> LaurentPoly:
     return LaurentPoly(lo, [acc.get(k, 0) for k in range(lo, hi + 1)])
 
 
+def require_knot_group(p: GroupPresentation) -> None:
+    """Raise ValueError unless ``p`` abelianizes like a knot group.
+
+    Every relator must have total exponent sum zero and the
+    abelianization must be Z, so sending every generator to 1 in Z is
+    the abelianization map.
+    """
+    for r in p.relators:
+        if total_exponent(r) != 0:
+            raise ValueError(
+                "not a knot-group presentation: relator with nonzero total exponent"
+            )
+    ab = abelianization(p)
+    if ab.free_rank != 1 or ab.torsion:
+        raise ValueError(
+            f"not a knot-group presentation: abelianization is not Z (got {ab})"
+        )
+
+
 def reduced_alexander_blocks(
     p: GroupPresentation,
 ) -> tuple[list[list[list[LaurentPoly]]], int]:
     """Square blocks presenting the Alexander module of a knot-group presentation.
 
-    Raises ValueError unless the presentation is a knot group's: every
-    relator has total exponent sum zero (so g_i -> t is a well-defined
-    homomorphism onto Z) and the abelianization is Z.
+    Raises ValueError unless ``require_knot_group`` accepts the
+    presentation, so g_i -> t is the abelianization onto Z.
 
     Builds the Fox matrix of the presentation (one row per relator, one
     column per generator) without the meridian column, then repeatedly
@@ -71,16 +89,7 @@ def reduced_alexander_blocks(
     makes t - 1 invertible on the Alexander module, so the module has no
     free summand.
     """
-    for r in p.relators:
-        if total_exponent(r) != 0:
-            raise ValueError(
-                "not a knot-group presentation: relator with nonzero total exponent"
-            )
-    ab = abelianization(p)
-    if ab.free_rank != 1 or ab.torsion:
-        raise ValueError(
-            f"not a knot-group presentation: abelianization is not Z (got {ab})"
-        )
+    require_knot_group(p)
     kept_cols = [j for j in range(1, p.generator_count + 1) if j != p.meridian]
     rows = [[fox_derivative(r, j) for j in kept_cols] for r in p.relators]
 

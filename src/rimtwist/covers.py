@@ -1,33 +1,22 @@
-"""Homology of d-fold cyclic covers of knot complements.
+"""Homology of d-fold cyclic branched covers of knots.
 
-Two independent routes to the branched-cover homology: the order as a
-resultant against t^d - 1 (the product of Alexander values over d-th
-roots of unity), and the full group structure from the Alexander
-matrix over Z[t]/(1 + t + ... + t^(d-1)).  Quotienting by
-1 + t + ... + t^(d-1), rather than t^d - 1, excludes the free summand
-of the unbranched cover, so the result is exactly the branched-cover
-torsion.
-
-The order costs O(e^2 log d) for an Alexander polynomial of degree e,
-plus an integer determinant of size at most 2e - 1, so d = 10^5 is
-cheap.  The structure replaces each entry f of the Alexander matrix by
-the (d-1)-square matrix of multiplication by f in the basis
-1, t, ..., t^(d-2), which has a closed form: fold the exponents of f
-modulo d (t^-1 = t^(d-1)) into a_0, ..., a_(d-1); then t^j f has
-coefficient a_((k-j) mod d) - a_((d-1-j) mod d) at t^k, since t^(d-1)
-reduces to -(1 + t + ... + t^(d-2)).  The Alexander matrix comes from a
-Tietze-simplified deficiency-one presentation and is block-diagonal, so
-each block of size b gives its own (b (d-1))-square relation matrix and
-its own Smith normal form.
+Two independent routes to the branched-cover homology.  The order is
+the resultant of the Alexander polynomial against t^d - 1 (the product
+of its values over the d-th roots of unity); it costs O(e^2 log d) for
+a polynomial of degree e, plus an integer determinant of size at most
+2e - 1, so d = 10^5 is cheap.  The group structure is H1 of
+pi1(Sigma_d), the kernel of G/<<mu^d>> -> Z/d for a meridian mu:
+Reidemeister-Schreier on the d cosets of the reduced knot presentation
+(``groups.kernel_h1``) and one Smith normal form of the rewritten,
+sparse relators.  The two routes share only the presentation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import gcd
+from dataclasses import dataclass, replace
 
-from .alexander import reduced_alexander_blocks
-from .groups import AbelianInvariants, reduced_knot_presentation, smith_invariants
+from .alexander import require_knot_group
+from .groups import AbelianInvariants, kernel_h1, reduced_knot_presentation
 from .laurent import LaurentPoly, resultant_with_cyclotomic
 from .wirtinger import GroupPresentation
 
@@ -47,77 +36,25 @@ def branched_cover_order(delta: LaurentPoly, d: int) -> int | None:
     return abs(resultant_with_cyclotomic(delta, d)) or None
 
 
-def _cover_block(entry: LaurentPoly, d: int) -> list[list[int]]:
-    """Matrix of multiplication by ``entry`` on Z[t]/(1 + t + ... + t^(d-1)).
-
-    Column j holds t^j * entry in the basis 1, t, ..., t^(d-2).
-    """
-    a = [0] * d
-    for i, coeff in enumerate(entry.coeffs):
-        a[(entry.min_exp + i) % d] += coeff
-    e = d - 1
-    last = [a[(e - j) % d] for j in range(e)]
-    return [[a[(k - j) % d] - last[j] for j in range(e)] for k in range(e)]
-
-
-def _invariant_factors(orders: list[int]) -> tuple[int, ...]:
-    """Torsion of the direct sum of the Z/c for c in ``orders``, in divisibility order.
-
-    Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b); after one pass over the later
-    entries, each entry divides all of them.
-    """
-    a = list(orders)
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            g = gcd(a[i], a[j])
-            a[i], a[j] = g, a[i] // g * a[j]
-    return tuple(v for v in a if v > 1)
-
-
 def branched_cover_structure(p: GroupPresentation, d: int) -> AbelianInvariants:
     """H1 of the d-fold branched cover as an abelian group.
 
-    Drops the redundant crossing relator of each diagram, which leaves a
-    deficiency-one presentation, and Tietze-simplifies it.  Tietze moves
-    keep the deficiency, so the Alexander matrix without the meridian
-    column is square, and a knot group's is nonsingular: its blocks are
-    square with no row to shed.  Each entry f of a block becomes its
-    (d-1)-square multiplication block on Z[t]/(1 + t + ... + t^(d-1)),
-    whose entry in row k and column j is a_((k-j) mod d) - a_((d-1-j) mod d)
-    for the coefficients a of f folded modulo t^d - 1; each block's
-    integer relation matrix gets its own Smith normal form, and the
-    torsion of all blocks is merged into invariant factors.
+    ``p.meridian`` must be a meridian of the knot, as it is in every
+    presentation this package builds.  Reduces ``p`` (redundant crossing
+    relators dropped, then Tietze moves), appends mu^d for the meridian
+    mu, and returns H1 of the kernel of that group onto Z/d with every
+    generator sent to 1: pi1 of the d-fold branched cover, whose
+    meridian lifts to mu^d.
 
-    Raises ValueError for a presentation that is not a knot group's or
-    is not of deficiency one once its crossing relators are dropped.
+    Raises ValueError for d < 1 and for a presentation that is not a
+    knot group's (``require_knot_group``).
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    e = d - 1
     q = reduced_knot_presentation(p)
-    if len(q.relators) != q.generator_count - 1:
-        raise ValueError(
-            "presentation is not of deficiency one after dropping its redundant "
-            f"crossing relators ({len(q.relators)} relators against {q.generator_count} generators)"
-        )
-    blocks, _ = reduced_alexander_blocks(q)
-    if e == 0:
-        return AbelianInvariants(free_rank=0, torsion=())
-    free_rank = 0
-    torsion: list[int] = []
-    for block in blocks:
-        size = len(block) * e
-        rel = [[0] * size for _ in range(size)]
-        for bi, block_row in enumerate(block):
-            for bj, entry in enumerate(block_row):
-                if not entry:
-                    continue  # rel starts at zero
-                for r, sub_row in enumerate(_cover_block(entry, d)):
-                    rel[bi * e + r][bj * e : bj * e + e] = sub_row
-        inv = smith_invariants(rel, size)
-        free_rank += size - len(inv)
-        torsion += (v for v in inv if v > 1)
-    return AbelianInvariants(free_rank=free_rank, torsion=_invariant_factors(torsion))
+    require_knot_group(q)
+    closed = replace(q, relators=q.relators + ((q.meridian,) * d,))
+    return kernel_h1(closed, d)[0]
 
 
 @dataclass(frozen=True)
@@ -125,7 +62,7 @@ class CoverHomology:
     """Branched-cover homology for one d: order plus optional group structure.
 
     A structure given with the order must agree with it, so the resultant
-    and the Smith normal form check each other.
+    and the Reidemeister-Schreier route check each other.
     """
 
     d: int

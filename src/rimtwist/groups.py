@@ -292,8 +292,10 @@ def _schreier_rows(
     from coset 0 gives the Schreier transversal; every edge (c, j) off
     the tree is a Schreier generator t_c x_j t_(c·x_j)^-1 with its own
     column, numbered in ``column[j][c]`` (-1 on tree edges).  Each
-    relator read from each coset gives one row.  Returns ``(rows,
-    ncols, column)``.
+    relator read from each coset gives one row, except that a power x^k
+    of one letter is read from one coset per orbit of x: read from c
+    and from c·x it passes the same edges.  Returns ``(rows, ncols,
+    column)``.
     """
     size = len(action[0])
     column = [[0] * size for _ in action]  # 0 until numbered, -1 on the tree
@@ -321,7 +323,18 @@ def _schreier_rows(
             inv[e] = c
     rows = []
     for r in relators:
-        for start in range(size):
+        starts: Sequence[int] = range(size)
+        if len(set(r)) == 1:
+            perm = action[abs(r[0]) - 1]
+            starts, covered = [], [False] * size
+            for c in range(size):
+                if not covered[c]:
+                    starts.append(c)
+                    e = c
+                    while not covered[e]:
+                        covered[e] = True
+                        e = perm[e]
+        for start in starts:
             row: dict[int, int] = {}
             c = start
             for x in r:
@@ -341,27 +354,40 @@ def _schreier_rows(
     return rows, ncols, column
 
 
+def kernel_h1(
+    p: GroupPresentation, d: int
+) -> tuple[AbelianInvariants, list[tuple[int, ...]] | None, list[list[int]]]:
+    """H1 of the kernel K of G -> Z/d that sends every generator to 1.
+
+    The map must exist: every relator's exponent sum is 0 mod d.  The
+    Reidemeister-Schreier presentation of K on the d cosets
+    (Magnus-Karrass-Solitar, section 2.3) goes through ``_homology``.
+    Returns ``(H1(K), images, column)``: the Schreier generators' images
+    in H1(K) and their columns, as ``_schreier_rows`` numbers them.
+    """
+    shift = [(i + 1) % d for i in range(d)]
+    rows, ncols, column = _schreier_rows(p.relators, [shift] * p.generator_count)
+    kernel, images = _homology(rows, ncols)
+    return kernel, images, column
+
+
 def kernel_homology(p: GroupPresentation, d: int) -> list[AbelianInvariants]:
     """H1 of the kernel K of G -> Z/d sending every generator to 1, then of [K, K].
 
     The map exists only when every relator's exponent sum is 0 mod d;
-    otherwise the list is empty.  H1(K) comes from the
-    Reidemeister-Schreier presentation of K on the d cosets
-    (Magnus-Karrass-Solitar, section 2.3).  When H1(K) is finite and
-    nontrivial and d·|H1(K)| is at most ``COMMUTATOR_INDEX_LIMIT``, the
-    list also holds H1(K') for K' = [K, K]: G acts on G/K', the pairs
-    (i, v) with v in H1(K), by x·(i, v) = (i+1, v + [t_i x t_(i+1)^-1]),
-    and K' is the stabilizer of (0, 0).  A free summand in either
-    group makes G infinite; a nontrivial H1(K) means G is not Z/d.
+    otherwise the list is empty.  H1(K) comes from ``kernel_h1``.  When
+    H1(K) is finite and nontrivial and d·|H1(K)| is at most
+    ``COMMUTATOR_INDEX_LIMIT``, the list also holds H1(K') for
+    K' = [K, K]: G acts on G/K', the pairs (i, v) with v in H1(K), by
+    x·(i, v) = (i+1, v + [t_i x t_(i+1)^-1]), and K' is the stabilizer
+    of (0, 0).  A free summand in either group makes G infinite; a
+    nontrivial H1(K) means G is not Z/d.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     if any(sum(1 if x > 0 else -1 for x in r) % d for r in p.relators):
         return []
-    n = p.generator_count
-    shift = [(i + 1) % d for i in range(d)]
-    rows, ncols, column = _schreier_rows(p.relators, [shift] * n)
-    kernel, images = _homology(rows, ncols)
+    kernel, images, column = kernel_h1(p, d)
     order = kernel.order()
     if order is None or order == 1 or d * order > COMMUTATOR_INDEX_LIMIT:
         return [kernel]
@@ -370,7 +396,7 @@ def kernel_homology(p: GroupPresentation, d: int) -> list[AbelianInvariants]:
     place = {v: k for k, v in enumerate(elements)}
     zero = (0,) * len(kernel.torsion)
     action = []
-    for j in range(n):
+    for j in range(p.generator_count):
         perm = []
         for i in range(d):
             step = images[column[j][i]] if column[j][i] >= 0 else zero

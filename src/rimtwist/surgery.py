@@ -257,14 +257,16 @@ def cyclic_verdict(
     The checks run in this order:
 
     1. Abelianization against Z/d.
-    2. ``kernel_homology``: H1 of the kernel K of G -> Z/d that sends
-       every generator to 1, and of K' = [K, K] when H1(K) is finite,
-       nontrivial and of small index.  A free summand in either proves
-       G infinite, so the verdict is undetermined with certificate
-       ``infinite-cover-homology``, proven not Z/d, and enumeration is
-       skipped: enumeration over the trivial subgroup closes only on a
-       finite group, so on an infinite one it could only exhaust its
-       budget, and no verdict is lost.
+    2. When d is at most ``budget``, so that the budget bounds the
+       d-coset table of K, ``kernel_homology``: H1 of the kernel K of
+       G -> Z/d that sends every generator to 1, and of K' = [K, K]
+       when H1(K) is finite, nontrivial and of small index.  A free
+       summand in either proves G infinite, so the verdict is
+       undetermined with certificate ``infinite-cover-homology``,
+       proven not Z/d, and enumeration is skipped: enumeration over the
+       trivial subgroup closes only on a finite group, so on an
+       infinite one it could only exhaust its budget, and no verdict
+       is lost.
     3. Bounded coset enumeration.  Cyclic needs a completed
        enumeration of order d together with abelianization exactly Z/d
        (a finite group surjecting onto an abelian group of the same
@@ -282,7 +284,7 @@ def cyclic_verdict(
         raise ValueError("d must be >= 1")
     expected = AbelianInvariants(free_rank=0, torsion=(d,) if d > 1 else ())
     ab_ok = abelianization(group) == expected
-    kernels = kernel_homology(group, d)
+    kernels = kernel_homology(group, d) if d <= budget else []
     if any(h.free_rank for h in kernels):
         return Pi1Verdict("undetermined", None, "infinite-cover-homology"), True
     table = todd_coxeter(group, budget)

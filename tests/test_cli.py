@@ -77,6 +77,12 @@ def test_pi1_text_and_strict():
     assert code == 3
 
 
+def test_budget_bounds_the_kernel_certificates():
+    # d = 2e5 cosets exceed the budget of 1000, so no kernel table is built
+    code, out, _ = _run(["pi1", "T(2,3)", "--d", "200000", "--m", "2", "--budget", "1000"])
+    assert (code, out) == (0, "undetermined (budget-exhausted)\n")
+
+
 def test_budget_rejected_on_every_input():
     # d = 5 is +-1 mod 4, so the congruence decides pi1 without enumerating;
     # a bad budget must still be refused, before any output

@@ -7,7 +7,6 @@ import pytest
 import rimtwist as rt
 from rimtwist import AbelianInvariants, LaurentPoly
 from rimtwist.alexander import reduced_alexander_blocks
-from rimtwist.covers import _cover_block, _invariant_factors
 from rimtwist.groups import smith_invariants
 from rimtwist.wirtinger import drop_redundant_crossing_relators
 from helpers import FIGURE_EIGHT, SMALL_CORPUS, TREFOIL, TREFOIL_SUM, random_knot_braids, random_knot_exprs
@@ -70,14 +69,33 @@ def _substitute_companion(entry, d, powers):
     return out
 
 
-# -- reference oracle: one dense matrix from the unsimplified Wirtinger blocks
+# -- reference oracle: Fox calculus over Z[t]/(1 + t + ... + t^(d-1)), one dense matrix
+
+
+def _cover_block(entry, d):
+    """Matrix of multiplication by ``entry`` on Z[t]/(1 + t + ... + t^(d-1)).
+
+    Column j holds t^j * entry in the basis 1, t, ..., t^(d-2): with the
+    coefficients a of entry folded modulo t^d - 1, t^j * entry has
+    a_((k-j) mod d) - a_((d-1-j) mod d) at t^k, since t^(d-1) reduces to
+    -(1 + t + ... + t^(d-2)).
+    """
+    a = [0] * d
+    for i, coeff in enumerate(entry.coeffs):
+        a[(entry.min_exp + i) % d] += coeff
+    e = d - 1
+    last = [a[(e - j) % d] for j in range(e)]
+    return [[a[(k - j) % d] - last[j] for j in range(e)] for k in range(e)]
 
 
 def _dense_structure(p, d):
     """Branched-cover H1 from one ((d-1) n)-square matrix over all the reduced blocks.
 
-    The blocks come from the Wirtinger presentation without its redundant
-    crossing relators, with no Tietze move.
+    Each entry of the reduced Alexander blocks becomes its ``_cover_block``;
+    quotienting by 1 + t + ... + t^(d-1) rather than t^d - 1 excludes the
+    free summand of the unbranched cover.  The blocks come from the
+    Wirtinger presentation without its redundant crossing relators, with
+    no Tietze move.
     """
     e = d - 1
     blocks, free_columns = reduced_alexander_blocks(drop_redundant_crossing_relators(p))
@@ -154,27 +172,32 @@ def test_structure_drops_crossing_relators_before_tietze():
     assert rt.branched_cover_structure(p, 6) == AbelianInvariants(2, (8, 40))
 
 
-def test_structure_refuses_presentations_not_of_deficiency_one():
+def test_structure_of_presentations_not_of_deficiency_one():
     # the second relator is a consequence of the first, but not a crossing
-    # relator, so no row may be dropped for it
+    # relator; the trefoil group is still presented, and so is its cover
     braid_rel = (1, 2, 1, -2, -1, -2)
     p = rt.GroupPresentation(("a", "b"), (braid_rel, braid_rel * 2))
-    with pytest.raises(ValueError, match="deficiency one"):
-        rt.branched_cover_structure(p, 2)
+    assert rt.branched_cover_structure(p, 2) == AbelianInvariants(0, (3,))
     assert rt.branched_cover_structure(dataclasses.replace(p, relators=(braid_rel,)), 2) == AbelianInvariants(0, (3,))
 
 
 def test_structure_merges_invariant_factors():
-    # one Smith normal form per block; the blocks' torsion is merged
+    # the summands of a connected sum's cover come out in divisibility order
     def structure(text, d):
         return rt.branched_cover_structure(rt.presentation_of_knot(rt.parse_knot(text)), d)
 
     assert structure("T(2,3)#T(2,5)", 2) == AbelianInvariants(0, (15,))
     assert structure("braid(3; 1 -2 1 -2)#T(2,3)", 10) == AbelianInvariants(0, (55, 825))
     assert structure("braid(3; 1 -2 1 -2)#T(2,3)", 14) == AbelianInvariants(0, (377, 5655))
-    assert _invariant_factors([2, 3, 4, 6]) == (2, 6, 12)
-    assert _invariant_factors([9, 1, 3]) == (3, 9)
-    assert _invariant_factors([]) == ()
+
+
+def test_structure_at_large_d():
+    # d cosets of a reduced presentation on 7 and on 2 generators; the dense
+    # oracle's matrix would be 6,000- and 20,000-square
+    t57 = rt.presentation_of_knot(rt.parse_knot("T(5,7)"))
+    assert rt.branched_cover_structure(t57, 1000) == AbelianInvariants(0, (7, 7, 7, 7))
+    tre = rt.presentation_of_knot(TREFOIL)
+    assert rt.branched_cover_structure(tre, 20000) == AbelianInvariants(0, (3,))
 
 
 def test_cover_block_matches_companion_substitution():
@@ -232,7 +255,7 @@ def test_branched_cover_structure_examples():
 
 
 def test_order_structure_agreement_over_corpus():
-    # two independent algorithms (resultant vs companion-matrix SNF), one value
+    # two independent algorithms (resultant vs Reidemeister-Schreier and SNF), one value
     for _, knot in SMALL_CORPUS:
         pres = rt.presentation_of_knot(knot)
         delta = rt.alexander_polynomial(pres)

@@ -13,6 +13,7 @@ from rimtwist.groups import (
     _enumerate_cosets,
     _homology,
     _root,
+    _schreier_rows,
     _word_to_cols,
     kernel_homology,
     reduced_knot_presentation,
@@ -551,3 +552,19 @@ def test_homology_images_satisfy_the_relations():
         assert len(reached) == group.order(), (rows, images)
         checked += 1
     assert checked > 50
+
+
+def test_schreier_rows_read_a_power_once_per_orbit():
+    # a^d read from coset c and from c·a passes the same edges, so
+    # <a | a^d> gives one row for it, not d
+    for d in (1, 2, 7, 1000):
+        shift = [(i + 1) % d for i in range(d)]
+        rows, ncols, _ = _schreier_rows([(1,) * d], [shift])
+        assert (rows, ncols) == ([{0: 1}], 1), d
+        rows, _, _ = _schreier_rows([(-1,) * d], [shift])
+        assert rows == [{0: -1}], d
+    # one row per orbit: a swaps two pairs of four cosets, b links them
+    swap = [1, 0, 3, 2]
+    link = [2, 3, 0, 1]
+    rows, _, _ = _schreier_rows([(1, 1), (2, 2)], [swap, link])
+    assert len(rows) == 4
