@@ -2,18 +2,21 @@
 
 Abelianization through integer Smith normal form, homology of the
 index-d kernel and of its commutator subgroup by Reidemeister-Schreier,
-bounded Todd-Coxeter coset enumeration over the trivial subgroup (HLT
-strategy, in-place coincidence handling), and Tietze simplification.
-Everything is exact and deterministic; enumeration that hits its coset
-budget reports "exhausted" rather than guessing.
+low-index subgroups and the homology of the kernels of their
+permutation representations, bounded Todd-Coxeter coset enumeration
+over the trivial subgroup (HLT strategy, in-place coincidence
+handling), and Tietze simplification.  Everything is exact and
+deterministic; enumeration that hits its coset budget reports
+"exhausted" rather than guessing.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import product
+from math import gcd, lcm
 
 from .wirtinger import GroupPresentation, drop_redundant_crossing_relators
 from .words import Word, canonical_cyclic, cyclic_reduce, invert, substitute
@@ -249,21 +252,24 @@ COMMUTATOR_INDEX_LIMIT = 200
 
 
 def _homology(
-    rows: list[dict[int, int]], ncols: int
+    rows: list[dict[int, int]], ncols: int, images: bool = True
 ) -> tuple[AbelianInvariants, list[tuple[int, ...]] | None]:
     """Z^ncols modulo sparse relation rows, with the image of each basis vector.
 
     The images are coordinate tuples over the torsion factors, reduced
-    modulo each; they are None when the group is infinite.
+    modulo each; they are None when the group is infinite or when
+    ``images`` is false, which spares tracking the column operations.
     """
     pivots, rest, columns = _split_unit_pivots(rows)
-    basis = [[int(i == k) for k in range(len(columns))] for i in range(len(columns))]
+    basis = None
+    if images:
+        basis = [[int(i == k) for k in range(len(columns))] for i in range(len(columns))]
     factors = _dense_smith(rest, len(columns), basis)
     group = AbelianInvariants(
         free_rank=ncols - len(pivots) - len(factors),
         torsion=tuple(t for t in factors if t > 1),
     )
-    if group.free_rank:
+    if group.free_rank or basis is None:
         return group, None
     # U·A·V = D sends dense column k to row k of V, coordinate i modulo D_ii
     coords = [(basis[i], t) for i, t in enumerate(factors) if t > 1]
@@ -293,9 +299,9 @@ def _schreier_rows(
     the tree is a Schreier generator t_c x_j t_(c·x_j)^-1 with its own
     column, numbered in ``column[j][c]`` (-1 on tree edges).  Each
     relator read from each coset gives one row, except that a power x^k
-    of one letter is read from one coset per orbit of x: read from c
-    and from c·x it passes the same edges.  Returns ``(rows, ncols,
-    column)``.
+    of one letter gives one row per orbit of x: read from any coset of
+    an orbit of length L, it passes each edge (e, x) of the orbit k/L
+    times.  Returns ``(rows, ncols, column)``.
     """
     size = len(action[0])
     column = [[0] * size for _ in action]  # 0 until numbered, -1 on the tree
@@ -323,18 +329,25 @@ def _schreier_rows(
             inv[e] = c
     rows = []
     for r in relators:
-        starts: Sequence[int] = range(size)
         if len(set(r)) == 1:
-            perm = action[abs(r[0]) - 1]
-            starts, covered = [], [False] * size
+            sign = 1 if r[0] > 0 else -1
+            perm, col = action[abs(r[0]) - 1], column[abs(r[0]) - 1]
+            covered = [False] * size
             for c in range(size):
-                if not covered[c]:
-                    starts.append(c)
-                    e = c
-                    while not covered[e]:
-                        covered[e] = True
-                        e = perm[e]
-        for start in starts:
+                if covered[c]:
+                    continue
+                orbit = []
+                e = c
+                while not covered[e]:
+                    covered[e] = True
+                    orbit.append(e)
+                    e = perm[e]
+                if len(r) % len(orbit):
+                    raise RuntimeError("a relator does not fix the coset it is read from")
+                times = sign * (len(r) // len(orbit))
+                rows.append({col[e]: times for e in orbit if col[e] >= 0})
+            continue
+        for start in range(size):
             row: dict[int, int] = {}
             c = start
             for x in r:
@@ -409,6 +422,199 @@ def kernel_homology(p: GroupPresentation, d: int) -> list[AbelianInvariants]:
     return [kernel, _homology(rows, ncols)[0]]
 
 
+# -- low-index subgroups --------------------------------------------------
+
+# The largest degree of the actions and the largest image whose kernels
+# ``quotient_kernel_homology`` takes, and the steps one search of
+# ``low_index_actions`` may spend: one per table entry it sets, plus the
+# length of each relator it scans.
+LOW_INDEX_DEGREE = 9
+QUOTIENT_ORDER_LIMIT = 1000
+LOW_INDEX_STEPS = 200_000
+
+
+def low_index_actions(p: GroupPresentation, degree: int) -> Iterator[list[list[int]]]:
+    """Transitive actions of G on at most ``degree`` points, one per class.
+
+    Sims' backtrack over coset tables (Sims, *Computation with Finitely
+    Presented Groups*, ch. 5): the first undefined entry is set to each
+    coset whose inverse entry is free, then to a new coset, and every
+    new entry is processed Felsch-style, by scanning each rotation of
+    each relator and its inverse that starts with it; a scan with one
+    letter left deduces it, and one that closes wrongly backtracks.  A
+    table that a renumbering from another coset makes lexicographically
+    smaller is pruned, so each conjugacy class of subgroups of index at
+    most ``degree`` appears once, in its least table.  A power x^e of
+    one letter is scanned as x^gcd(e, lcm(1..degree)), which a
+    permutation of that degree satisfies exactly when it satisfies x^e,
+    and as one rotation.  Yields ``action[j][c]``, the coset to which
+    generator j+1 sends coset c; stops early, having yielded what it
+    found, once it has spent ``LOW_INDEX_STEPS``.
+    """
+    if degree < 1:
+        return
+    width = 2 * p.generator_count
+    period = lcm(*range(1, degree + 1))
+    table = [[-1] * degree for _ in range(width)]
+    # the scans that start with each column: a relator's columns written
+    # twice, as in ``_enumerate_cosets`` the table columns they read
+    # forward and backward, and the first and last position of a rotation
+    scans: list[list[tuple[list[int], list[list[int]], list[list[int]], int, int]]]
+    scans = [[] for _ in range(width)]
+    for r in filter(None, map(cyclic_reduce, p.relators)):
+        if len(set(r)) == 1:
+            r = r[: gcd(len(r), period)]
+        for w in (r, invert(r)):
+            n = len(w)
+            rotations = next(k for k in range(1, n + 1) if n % k == 0 and w[k:] + w[:k] == w)
+            cols = _word_to_cols(w) * 2
+            fwd, bwd = [table[x] for x in cols], [table[x ^ 1] for x in cols]
+            for i in range(rotations):
+                scans[cols[i]].append((cols, fwd, bwd, i, i + n - 1))
+    trail: list[tuple[int, int, int]] = []
+    spent = 0
+
+    def assign(alpha: int, x: int, beta: int) -> bool:
+        """Set alpha·x = beta and process its deductions; False on a contradiction."""
+        nonlocal spent
+        spent += 1
+        table[x][alpha] = beta
+        table[x ^ 1][beta] = alpha
+        trail.append((x, alpha, beta))
+        queue = [(alpha, x)]
+        for c, y in queue:
+            for cols, fwd, bwd, i, j in scans[y]:
+                spent += j - i + 1
+                if spent > LOW_INDEX_STEPS:
+                    return False
+                f = c
+                while i <= j and (nxt := fwd[i][f]) >= 0:
+                    f = nxt
+                    i += 1
+                if i > j:
+                    if f != c:
+                        return False
+                    continue
+                b = c
+                while j >= i and (nxt := bwd[j][b]) >= 0:
+                    b = nxt
+                    j -= 1
+                if j < i:
+                    if f != b:
+                        return False
+                elif i == j:
+                    fwd[i][f] = b
+                    bwd[i][b] = f
+                    trail.append((cols[i], f, b))
+                    queue.append((f, cols[i]))
+        return True
+
+    def least(n: int) -> bool:
+        """No renumbering from another coset makes the table smaller, as far as it is defined."""
+        for gamma in range(1, n):
+            new = [-1] * n
+            new[gamma] = 0
+            order = [gamma]
+            for r, old in enumerate(order):
+                for col in table:
+                    e, t = col[old], col[r]
+                    if e < 0 or t < 0:
+                        break
+                    if new[e] < 0:
+                        new[e] = len(order)
+                        order.append(e)
+                    if new[e] != t:
+                        if new[e] < t:
+                            return False
+                        break
+                else:
+                    continue
+                break
+        return True
+
+    # depth first: each stack frame is an entry set on n cosets, the value
+    # it was set to, and the trail's length before; a frame's entries are
+    # those before the k-th, row-major, and its own
+    stack: list[tuple[int, int, int, int]] = []
+    n, k, beta = 1, 0, 0
+    while spent <= LOW_INDEX_STEPS:
+        while k < n * width and table[k % width][k // width] >= 0:
+            k += 1
+        if k == n * width:
+            yield [table[x][:n] for x in range(0, width, 2)]
+            top = 0
+        else:
+            alpha, x = divmod(k, width)
+            top = min(n + 1, degree)
+            while beta < top and table[x ^ 1][beta] >= 0:
+                beta += 1
+        if beta < top:
+            stack.append((n, k, beta, len(trail)))
+            if assign(alpha, x, beta) and least(max(n, beta + 1)):
+                n, beta = max(n, beta + 1), 0
+                continue
+        elif not stack:
+            return
+        n, k, beta, mark = stack.pop()
+        while len(trail) > mark:
+            y, a, b = trail.pop()
+            table[y][a] = table[y ^ 1][b] = -1
+        beta += 1
+
+
+def _regular_action(action: list[list[int]], limit: int) -> list[list[int]] | None:
+    """The image of a permutation representation acting on itself, or None.
+
+    ``action[j]`` is the permutation of generator j+1.  The image is
+    built by closing the identity under right multiplication, so element
+    k is the k-th one reached breadth-first and the result depends only
+    on the kernel: ``regular[j][k]`` is element k times generator j+1.
+    None when the image has more than ``limit`` elements.
+    """
+    identity = tuple(range(len(action[0])))
+    place = {identity: 0}
+    elements = [identity]
+    regular: list[list[int]] = [[] for _ in action]
+    for e in elements:
+        for perm, row in zip(action, regular):
+            h = tuple(perm[i] for i in e)
+            k = place.get(h)
+            if k is None:
+                if len(elements) == limit:
+                    return None
+                k = place[h] = len(elements)
+                elements.append(h)
+            row.append(k)
+    return regular
+
+
+def quotient_kernel_homology(p: GroupPresentation, budget: int) -> AbelianInvariants | None:
+    """H1 of the kernel of a finite quotient of G, when it has a free summand.
+
+    Takes each action from ``low_index_actions`` of degree at most
+    min(``LOW_INDEX_DEGREE``, budget), and the regular action of its
+    image when that has at most min(``QUOTIENT_ORDER_LIMIT``, budget)
+    elements; the kernel is the stabilizer of the identity there, so
+    ``_schreier_rows`` gives its abelianized presentation, reading every
+    relator from the identity and so checking that the permutations
+    satisfy it.  Actions with the same kernel have the same regular
+    action, which is taken once.  A free summand proves G infinite; None
+    when no kernel shows one.
+    """
+    limit = min(QUOTIENT_ORDER_LIMIT, budget)
+    seen: set[tuple[tuple[int, ...], ...]] = set()
+    for action in low_index_actions(p, min(LOW_INDEX_DEGREE, budget)):
+        regular = _regular_action(action, limit)
+        if regular is None or (key := tuple(map(tuple, regular))) in seen:
+            continue
+        seen.add(key)
+        rows, ncols, _ = _schreier_rows(p.relators, regular)
+        kernel = _homology(rows, ncols, images=False)[0]
+        if kernel.free_rank:
+            return kernel
+    return None
+
+
 # -- Todd-Coxeter coset enumeration --------------------------------------
 
 
@@ -446,7 +652,10 @@ def _root(parent: list[int], k: int) -> int:
 
 
 def _enumerate_cosets(
-    ngens: int, relators: list[list[int]], budget: int
+    ngens: int,
+    relators: list[list[int]],
+    budget: int,
+    probe: tuple[int, Callable[[], bool]] | None = None,
 ) -> tuple[list[list[int]], list[int], int, int, bool]:
     """HLT enumeration over a column-major coset table.
 
@@ -454,10 +663,13 @@ def _enumerate_cosets(
     column ``x`` (generator g is column 2g-2, its inverse 2g-1), or -1
     while undefined; ``parent`` is the union-find forest over cosets, in
     which the smaller coset of a coincidence survives.  Columns double
-    as cosets are defined, never beyond ``budget``.  Returns ``(table,
-    parent, defined, live, complete)``: the number of cosets ever
-    defined, the number still live, and whether the table closed before
-    a definition would have exceeded the budget.
+    as cosets are defined, never beyond ``budget``.  ``probe``, when
+    given, is ``(cosets, stop)``: when a definition would exceed
+    ``cosets``, ``stop()`` is called once, and a true answer ends the
+    enumeration there.  Returns ``(table, parent, defined, live,
+    complete)``: the number of cosets ever defined, the number still
+    live, and whether the table closed before a definition would have
+    exceeded the budget or the probe stopped it.
     """
     width = 2 * ngens
     cap = min(budget, _INITIAL_CAPACITY)
@@ -470,6 +682,7 @@ def _enumerate_cosets(
         for w in relators
     ]
     defined = live = 1
+    limit, stop = probe if probe is not None and probe[0] < budget else (budget, None)
 
     def grow():
         nonlocal cap
@@ -478,6 +691,18 @@ def _enumerate_cosets(
         for col in table:
             col.extend(pad)
         cap += extra
+
+    def stopped() -> bool:
+        """At ``limit`` cosets: whether to stop, or else go on to the budget."""
+        nonlocal limit, stop
+        if stop is None or stop():
+            return True
+        limit, stop = budget, None
+        # grown at once: doubled around what ``stop`` left on the heap,
+        # the columns took about 5 % more peak memory
+        while cap < budget:
+            grow()
+        return False
 
     def coincidence(a: int, b: int) -> int:
         """Merge cosets a and b and every consequence; return the merges made."""
@@ -542,7 +767,7 @@ def _enumerate_cosets(
                     # definition also filled the backward entry or the
                     # next letter cancels this one
                     while j > i:
-                        if defined == budget:
+                        if defined == limit and stopped():
                             return table, parent, defined, live, False
                         if defined == cap:
                             grow()
@@ -571,7 +796,7 @@ def _enumerate_cosets(
             if parent[alpha] == alpha:
                 for col, inv in pairs:
                     if col[alpha] < 0:
-                        if defined == budget:
+                        if defined == limit and stopped():
                             return table, parent, defined, live, False
                         if defined == cap:
                             grow()
@@ -601,18 +826,25 @@ def _closed(
     return True
 
 
-def todd_coxeter(p: GroupPresentation, budget: int = DEFAULT_COSET_BUDGET) -> CosetTable:
+def todd_coxeter(
+    p: GroupPresentation,
+    budget: int = DEFAULT_COSET_BUDGET,
+    probe: tuple[int, Callable[[], bool]] | None = None,
+) -> CosetTable:
     """HLT coset enumeration over the trivial subgroup.
 
     Returns a complete table with the group order when it closes within
     ``budget`` cosets (counting every coset ever defined), otherwise an
-    exhausted table carrying no conclusion.
+    exhausted table carrying no conclusion.  ``probe``, when given, is
+    ``(cosets, stop)``: ``stop()`` is called once, when the table has
+    not closed on ``cosets`` cosets; a true answer ends the enumeration
+    there, exhausted, and a false one lets it go on, repeating no work.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     relators = [_word_to_cols(r) for r in p.relators]
     table, parent, defined, live, complete = _enumerate_cosets(
-        p.generator_count, relators, budget
+        p.generator_count, relators, budget, probe
     )
     if not complete:
         return CosetTable(budget=budget, live=live)

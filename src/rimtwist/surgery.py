@@ -22,6 +22,7 @@ from .groups import (
     AbelianInvariants,
     abelianization,
     kernel_homology,
+    quotient_kernel_homology,
     reduced_knot_presentation,
     todd_coxeter,
 )
@@ -69,10 +70,14 @@ def twist_rim_presentation(p: GroupPresentation, d: int, m: int) -> GroupPresent
 
     Extends the knot-group presentation by mu^d and, for every
     non-meridian generator g, the twist-invariance relator
-    g^-1 mu^-m g mu^m: the twist acts by conjugation with mu^m, so the
-    group must make mu^m central.  That holds exactly when mu^m commutes
-    with each generator, so the construction is valid on any generating
-    set that contains the meridian, Wirtinger or Tietze-reduced.
+    g^-1 mu^-t g mu^t with t = m mod d: the twist acts by conjugation
+    with mu^m, so the group must make mu^m central.  That holds exactly
+    when mu^m commutes with each generator, so the construction is valid
+    on any generating set that contains the meridian, Wirtinger or
+    Tietze-reduced.  Given mu^d, mu^m = mu^t, so t gives the same group
+    with shorter relators, and none at all when d divides m; coset
+    enumeration closes sooner on them, and ``low_index_actions`` scans
+    relators letter by letter.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -80,11 +85,12 @@ def twist_rim_presentation(p: GroupPresentation, d: int, m: int) -> GroupPresent
     if n == 0 or not (1 <= p.meridian <= n):
         raise ValueError("presentation has no meridian generator")
     mu = p.meridian
+    twist = m % d
     relators = list(p.relators)
     relators.append(power(mu, d))
     for j in range(1, n + 1):
-        if j != mu:
-            relators.append((-j,) + power(mu, -m) + (j,) + power(mu, m))
+        if j != mu and twist:
+            relators.append((-j,) + power(mu, -twist) + (j,) + power(mu, twist))
     return GroupPresentation(p.generators, tuple(relators), mu)
 
 
@@ -127,11 +133,14 @@ class Pi1Verdict:
     ``certificate`` names what decided the verdict: ``congruence`` and
     ``coset-enumeration`` for a cyclic or finite group;
     ``infinite-cover-homology`` (a free summand in H1 of the index-d
-    kernel or of its commutator subgroup), ``kernel-homology`` (a
-    nontrivial H1 of the index-d kernel) and ``abelianization-mismatch``
-    for an undetermined group proven not Z/d; ``budget-exhausted`` for
-    one about which nothing is proven.  The proven-not-Z/d certificates
-    keep the kind undetermined, so ``--strict`` exits 3 on them too.
+    kernel or of its commutator subgroup),
+    ``infinite-subgroup-homology`` (a free summand in H1 of the kernel
+    of a permutation representation of small degree),
+    ``kernel-homology`` (a nontrivial H1 of the index-d kernel) and
+    ``abelianization-mismatch`` for an undetermined group proven not
+    Z/d; ``budget-exhausted`` for one about which nothing is proven.
+    The proven-not-Z/d certificates keep the kind undetermined, so
+    ``--strict`` exits 3 on them too.
     """
 
     kind: str  # "cyclic" | "finite" | "undetermined"
@@ -267,17 +276,26 @@ def cyclic_verdict(
        trivial subgroup closes only on a finite group, so on an
        infinite one it could only exhaust its budget, and no verdict
        is lost.
-    3. Bounded coset enumeration.  Cyclic needs a completed
-       enumeration of order d together with abelianization exactly Z/d
-       (a finite group surjecting onto an abelian group of the same
-       order is that group); a completed enumeration of another order
-       is ``finite``.
-    4. On an exhausted budget: an abelianization other than Z/d gives
+    3. Bounded coset enumeration, paused once a tenth of the budget is
+       spent, so that a group that closes by then pays for no search.
+    4. At that pause, when d is at most ``budget``,
+       ``quotient_kernel_homology``: H1 of the kernel of each transitive
+       permutation representation of small degree whose image has at
+       most min(1000, budget) elements.  A free summand proves G
+       infinite, so the verdict is undetermined with certificate
+       ``infinite-subgroup-homology``, proven not Z/d, and enumeration
+       stops, for the reason of step 2.
+    5. Otherwise enumeration goes on to the whole budget.  Cyclic needs
+       a completed enumeration of order d together with abelianization
+       exactly Z/d (a finite group surjecting onto an abelian group of
+       the same order is that group); a completed enumeration of
+       another order is ``finite``.
+    6. On an exhausted budget: an abelianization other than Z/d gives
        ``abelianization-mismatch``, and a nontrivial H1(K) gives
        ``kernel-homology`` (were G = Z/d, K would be trivial), both
        proven not Z/d.  Otherwise ``budget-exhausted`` decides nothing.
 
-    The certificates of steps 2 and 4 keep the kind undetermined, so
+    The certificates of steps 2, 4 and 6 keep the kind undetermined, so
     ``--strict`` still exits 3 on them.
     """
     if d < 1:
@@ -287,7 +305,17 @@ def cyclic_verdict(
     kernels = kernel_homology(group, d) if d <= budget else []
     if any(h.free_rank for h in kernels):
         return Pi1Verdict("undetermined", None, "infinite-cover-homology"), True
-    table = todd_coxeter(group, budget)
+    infinite = False
+
+    def search() -> bool:
+        nonlocal infinite
+        infinite = quotient_kernel_homology(group, budget) is not None
+        return infinite
+
+    probe = (max(1, budget // 10), search) if d <= budget else None
+    table = todd_coxeter(group, budget, probe)
+    if infinite:
+        return Pi1Verdict("undetermined", None, "infinite-subgroup-homology"), True
     if table.completed:
         if table.order == d and ab_ok:
             return Pi1Verdict("cyclic", d, "coset-enumeration"), False

@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 import rimtwist as rt
-from rimtwist import AbelianInvariants, GroupPresentation, Pi1Verdict
+from rimtwist import AbelianInvariants, GroupPresentation, Pi1Verdict, groups
 from rimtwist.groups import (
     _closed,
     _enumerate_cosets,
@@ -16,6 +16,8 @@ from rimtwist.groups import (
     _schreier_rows,
     _word_to_cols,
     kernel_homology,
+    low_index_actions,
+    quotient_kernel_homology,
     reduced_knot_presentation,
     smith_invariants,
 )
@@ -462,12 +464,18 @@ def test_cyclic_verdict():
             Pi1Verdict("cyclic", d, "coset-enumeration"), False
         )
 
-    # exhaustion with consistent abelianization is inconclusive: an infinite
-    # perfect group (the 2-3-7 triangle group) has trivial abelianization
+    # the 2-3-7 triangle group is infinite and perfect, so its abelianization
+    # says nothing; the kernel of its map onto PSL(2,7), of order 168, is a
+    # surface group with H1 = Z^6
     triangle = GroupPresentation(
         ("a", "b"), ((1, 1), (2, 2, 2), (1, 2) * 7), 1
     )
     assert rt.cyclic_verdict(triangle, 1, budget=500) == (
+        Pi1Verdict("undetermined", None, "infinite-subgroup-homology"), True
+    )
+    # at budget 100 no image of order 168 is built, and every smaller finite
+    # quotient is trivial, so exhaustion stays inconclusive
+    assert rt.cyclic_verdict(triangle, 1, budget=100) == (
         Pi1Verdict("undetermined", None, "budget-exhausted"), False
     )
     with pytest.raises(ValueError):
@@ -563,8 +571,131 @@ def test_schreier_rows_read_a_power_once_per_orbit():
         assert (rows, ncols) == ([{0: 1}], 1), d
         rows, _, _ = _schreier_rows([(-1,) * d], [shift])
         assert rows == [{0: -1}], d
+    # read once around an orbit of length L, the row of a^k is k/L times that
+    # of a^L, and a power that L does not divide fixes no coset
+    shift = [1, 2, 0]
+    assert _schreier_rows([(1,) * 6], [shift])[0] == [{0: 2}]
+    assert _schreier_rows([(-1,) * 6], [shift])[0] == [{0: -2}]
+    with pytest.raises(RuntimeError, match="does not fix"):
+        _schreier_rows([(1,) * 4], [shift])
     # one row per orbit: a swaps two pairs of four cosets, b links them
     swap = [1, 0, 3, 2]
     link = [2, 3, 0, 1]
     rows, _, _ = _schreier_rows([(1, 1), (2, 2)], [swap, link])
     assert len(rows) == 4
+
+
+def _image(action, word, point):
+    """Where a word sends a point, reading its letters left to right."""
+    for x in word:
+        perm = action[abs(x) - 1]
+        point = perm[point] if x > 0 else perm.index(point)
+    return point
+
+
+def _conjugacy_class(action):
+    """The action renumbered breadth-first from every point: equal for conjugate stabilizers."""
+    n = len(action[0])
+    columns = [col for perm in action for col in (perm, [perm.index(c) for c in range(n)])]
+    tables = set()
+    for base in range(n):
+        new, order = {base: 0}, [base]
+        for old in order:
+            for col in columns:
+                if col[old] not in new:
+                    new[col[old]] = len(order)
+                    order.append(col[old])
+        tables.add(tuple(tuple(new[col[old]] for col in columns) for old in order))
+    return frozenset(tables)
+
+
+def _trefoil_quotient(d, m=0):
+    tre = reduced_knot_presentation(rt.presentation_of_knot(TREFOIL))
+    return rt.twist_rim_presentation(tre, d, m)
+
+
+def test_low_index_actions_against_sympy_oracle():
+    pytest.importorskip("sympy")
+    from sympy.combinatorics.fp_groups import FpGroup, low_index_subgroups
+    from sympy.combinatorics.free_groups import free_group
+
+    for d in (3, 4):
+        p = _trefoil_quotient(d)
+        free, *xs = free_group(" ".join(f"x{i}" for i in range(p.generator_count)))
+        relators = []
+        for r in p.relators:
+            w = free.identity
+            for x in r:
+                w *= xs[abs(x) - 1] ** (1 if x > 0 else -1)
+            relators.append(w)
+        # sympy's tables have columns x0, x0^-1, x1, x1^-1, ...
+        expected = {
+            _conjugacy_class([[row[2 * j] for row in table.table] for j in range(len(xs))])
+            for table in low_index_subgroups(FpGroup(free, relators), 6)
+        }
+        found = [_conjugacy_class(a) for a in low_index_actions(p, 6)]
+        assert len(set(found)) == len(found), d
+        assert set(found) == expected, d
+
+
+def test_low_index_actions_satisfy_every_relator():
+    triangle = GroupPresentation(("a", "b"), ((1, 1), (2, 2, 2), (1, 2) * 7), 1)
+    presentations = [triangle] + [
+        rt.twist_rim_presentation(reduced_knot_presentation(rt.presentation_of_knot(knot)), d, m)
+        for _, knot in SMALL_CORPUS
+        for d, m in ((3, 0), (4, 2), (5, 5))
+    ]
+    found = 0
+    for p in presentations:
+        classes = set()
+        for action in low_index_actions(p, 7):
+            n = len(action[0])
+            assert 1 <= n <= 7
+            assert all(sorted(perm) == list(range(n)) for perm in action)
+            for r in p.relators:
+                assert all(_image(action, r, c) == c for c in range(n)), (p, action, r)
+            # transitive: generators reach every point from 0
+            reached = {0}
+            frontier = [0]
+            for c in frontier:
+                for perm in action:
+                    if perm[c] not in reached:
+                        reached.add(perm[c])
+                        frontier.append(perm[c])
+            assert len(reached) == n
+            classes.add(_conjugacy_class(action))
+            found += 1
+        assert len(classes) == sum(1 for _ in low_index_actions(p, 7))
+    assert found > 50
+    # the triangle group's smallest nontrivial quotient is PSL(2,7), on 7 points
+    assert sorted(len(a[0]) for a in low_index_actions(triangle, 7)) == [1, 7, 7]
+
+
+def test_finite_groups_are_never_certified_infinite():
+    # B3/<<sigma1^d>> is finite for d < 6, of order 6, 24, 96 and 600
+    for d, order in ((2, 6), (3, 24), (4, 96), (5, 600)):
+        group = _trefoil_quotient(d)
+        assert rt.todd_coxeter(group).order == order
+        assert quotient_kernel_homology(group, 10**6) is None, d
+
+
+def test_low_index_actions_read_a_power_of_one_letter_once():
+    # a^N holds for a permutation of degree at most 9 exactly when
+    # a^gcd(N, 2520) does, so a million letters cost 40 per scan
+    cyclic = GroupPresentation(("a",), ((1,) * 10**6,), 1)
+    actions = list(low_index_actions(cyclic, 9))
+    assert sorted(len(a[0]) for a in actions) == [1, 2, 4, 5, 8]
+    for (perm,) in actions:
+        # a cycle through every point, so a^N fixes each of them
+        assert {_image([perm], (1,) * k, 0) for k in range(len(perm))} == set(range(len(perm)))
+
+
+def test_low_index_search_stops_at_its_step_bound(monkeypatch):
+    # the figure-eight at d = 4 has 13 classes of subgroups of index at most
+    # 9; the step bound stops the search after 10 of them
+    fig8 = reduced_knot_presentation(rt.presentation_of_knot(FIGURE_EIGHT))
+    group = rt.twist_rim_presentation(fig8, 4, 0)
+    assert len(list(low_index_actions(group, 9))) == 10
+    monkeypatch.setattr(groups, "LOW_INDEX_STEPS", 10**9)
+    assert len(list(low_index_actions(group, 9))) == 13
+

@@ -8,7 +8,7 @@ import pytest
 
 import rimtwist as rt
 from rimtwist import GroupPresentation, Pi1Verdict, SurgeryParams, congruent_pm1
-from rimtwist.groups import kernel_homology, reduced_knot_presentation
+from rimtwist.groups import kernel_homology, quotient_kernel_homology, reduced_knot_presentation
 from rimtwist.surgery import determine_pi1
 from helpers import FIGURE_EIGHT, SMALL_CORPUS, TREFOIL, TREFOIL_SUM
 
@@ -50,6 +50,17 @@ def test_twist_rim_presentation_shape():
     assert p.relators[-1] == (-3, -1, -1, -1, -1, 3, 1, 1, 1, 1)
     with pytest.raises(ValueError):
         rt.twist_rim_presentation(GroupPresentation((), (), 1), 2, 2)
+
+
+def test_twist_rim_presentation_reduces_m_mod_d():
+    # given mu^d, mu^m = mu^(m mod d): the same group, shorter relators
+    tre = rt.presentation_of_knot(TREFOIL)
+    assert rt.twist_rim_presentation(tre, 5, 9) == rt.twist_rim_presentation(tre, 5, 4)
+    assert rt.twist_rim_presentation(tre, 5, -1) == rt.twist_rim_presentation(tre, 5, 4)
+    # and no twist relator at all when d divides m
+    untwisted = rt.twist_rim_presentation(tre, 5, 10)
+    assert untwisted.relators == tre.relators + ((1,) * 5,)
+    assert untwisted == rt.twist_rim_presentation(tre, 5, 0)
 
 
 def test_twist_rim_orders():
@@ -294,11 +305,19 @@ def test_determine_pi1_matches_wirtinger_route():
                     assert _strength(got) >= _strength(want), case
                     if rt.render(knot) == "T(2,3)#mirror(T(2,3))" and d == 2 and m % 2 == 0:
                         assert got[0].certificate == "infinite-cover-homology", case
+                    if got[0].certificate == "infinite-subgroup-homology":
+                        # what the kernel certificates alone said: kernel-homology
+                        # when H1 of the index-d kernel is nontrivial
+                        group = rt.twist_rim_presentation(reduced_knot_presentation(p), d, m)
+                        if want[0].certificate == "budget-exhausted" and kernel_homology(group, d)[0].order() != 1:
+                            want = (Pi1Verdict("undetermined", None, "kernel-homology"), True)
                     changes[want[0].certificate, got[0].certificate] += 1
     assert sum(changes.values()) == 490
     assert changes["budget-exhausted", "coset-enumeration"] > 0
     assert changes["budget-exhausted", "infinite-cover-homology"] > 0
     assert changes["budget-exhausted", "kernel-homology"] > 0
+    assert changes["budget-exhausted", "infinite-subgroup-homology"] > 0
+    assert changes["kernel-homology", "infinite-subgroup-homology"] > 0
 
 
 def test_pi1_kernel_certificates():
@@ -318,6 +337,23 @@ def test_pi1_kernel_certificates():
     assert kernel_homology(group, 3) == [rt.AbelianInvariants(0, (2, 2)), rt.AbelianInvariants(0, (2,))]
     assert determine_pi1(tre, 3, 3, 10**6) == (Pi1Verdict("finite", 24, "coset-enumeration"), True)
     assert determine_pi1(tre, 3, 3, 3) == (Pi1Verdict("undetermined", None, "kernel-homology"), True)
+
+
+def test_pi1_subgroup_certificates():
+    # B3/<<sigma1^d>> is infinite from d = 6 on (Coxeter), but at d = 7, 8, 9
+    # no kernel certificate shows it; the kernel of a permutation
+    # representation of degree 9 has a free H1
+    infinite = (Pi1Verdict("undetermined", None, "infinite-subgroup-homology"), True)
+    tre = rt.presentation_of_knot(TREFOIL)
+    for d, rank in ((7, 14), (8, 20), (9, 20)):
+        assert determine_pi1(tre, d, 2 * d, 200000) == infinite, d
+        group = rt.twist_rim_presentation(reduced_knot_presentation(tre), d, 0)
+        assert kernel_homology(group, d)[-1].free_rank == 0
+        assert quotient_kernel_homology(group, 200000).free_rank == rank, d
+    t25 = rt.presentation_of_knot(rt.parse_knot("T(2,5)"))
+    assert determine_pi1(t25, 4, 8, 200000) == infinite
+    # twist relators with m mod d in place of m give the same group
+    assert determine_pi1(tre, 7, 7, 200000) == determine_pi1(tre, 7, 0, 200000) == infinite
 
 
 def test_determine_pi1_decides_more_on_the_reduced_presentation():
