@@ -2,7 +2,8 @@
 
 The complement group is the knot group with two families of extra
 relations: the meridian has order d, and every generator commutes with
-the m-th power of the meridian.  When d = +/-1 mod m the group
+the m-th power of the meridian, written as the (m mod d)-th power and
+left out when d divides m.  When d = +/-1 mod m the group
 collapses to Z/d; other (d, m) can be distinguished by bounded coset
 enumeration.
 
@@ -15,11 +16,11 @@ trefoil = rt.presentation_of_knot(rt.parse_knot("T(2,3)"))
 fig8 = rt.presentation_of_knot(rt.parse_knot("braid(3; 1 -2 1 -2)"))
 
 print("=== the quotient presentation ===")
-twisted = rt.twist_rim_presentation(trefoil, 2, 2)
-print(f"  trefoil, d=2, m=2:\n  {twisted}")
+print(f"  trefoil, d=4, m=6:\n  {rt.twist_rim_presentation(trefoil, 4, 6)}")
 
 print()
 print("=== d=2 with even m: the group remembers the knot ===")
+twisted = rt.twist_rim_presentation(trefoil, 2, 2)
 table = rt.todd_coxeter(twisted)
 print(f"  enumeration completes with order {table.order} (Z/2 would have order 2)")
 print(f"  abelianization: {rt.abelianization(twisted)}")
@@ -37,9 +38,10 @@ for knot_name, pres in [("trefoil", trefoil), ("figure-eight", fig8)]:
 
 print()
 print("=== coset budgets make stubborn cases honest ===")
-q = rt.twist_rim_presentation(trefoil, 3, 3)
+q = rt.twist_rim_presentation(trefoil, 5, 5)
 small = rt.todd_coxeter(q, budget=500)
-print(f"  trefoil d=3 m=3 with budget 500: completed={small.completed} (no conclusion)")
+print(f"  trefoil d=5 m=5 with budget 500: completed={small.completed} (no conclusion)")
+print(f"  with the default budget: order {rt.todd_coxeter(q).order}")
 
 print()
 print("=== Tietze simplification of the trefoil group ===")

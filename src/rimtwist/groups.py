@@ -12,7 +12,7 @@ deterministic; enumeration that hits its coset budget reports
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import product
@@ -652,10 +652,7 @@ def _root(parent: list[int], k: int) -> int:
 
 
 def _enumerate_cosets(
-    ngens: int,
-    relators: list[list[int]],
-    budget: int,
-    probe: tuple[int, Callable[[], bool]] | None = None,
+    ngens: int, relators: list[list[int]], budget: int
 ) -> tuple[list[list[int]], list[int], int, int, bool]:
     """HLT enumeration over a column-major coset table.
 
@@ -663,13 +660,10 @@ def _enumerate_cosets(
     column ``x`` (generator g is column 2g-2, its inverse 2g-1), or -1
     while undefined; ``parent`` is the union-find forest over cosets, in
     which the smaller coset of a coincidence survives.  Columns double
-    as cosets are defined, never beyond ``budget``.  ``probe``, when
-    given, is ``(cosets, stop)``: when a definition would exceed
-    ``cosets``, ``stop()`` is called once, and a true answer ends the
-    enumeration there.  Returns ``(table, parent, defined, live,
-    complete)``: the number of cosets ever defined, the number still
-    live, and whether the table closed before a definition would have
-    exceeded the budget or the probe stopped it.
+    as cosets are defined, never beyond ``budget``.  Returns ``(table,
+    parent, defined, live, complete)``: the number of cosets ever
+    defined, the number still live, and whether the table closed before
+    a definition would have exceeded the budget.
     """
     width = 2 * ngens
     cap = min(budget, _INITIAL_CAPACITY)
@@ -682,7 +676,6 @@ def _enumerate_cosets(
         for w in relators
     ]
     defined = live = 1
-    limit, stop = probe if probe is not None and probe[0] < budget else (budget, None)
 
     def grow():
         nonlocal cap
@@ -691,18 +684,6 @@ def _enumerate_cosets(
         for col in table:
             col.extend(pad)
         cap += extra
-
-    def stopped() -> bool:
-        """At ``limit`` cosets: whether to stop, or else go on to the budget."""
-        nonlocal limit, stop
-        if stop is None or stop():
-            return True
-        limit, stop = budget, None
-        # grown at once: doubled around what ``stop`` left on the heap,
-        # the columns took about 5 % more peak memory
-        while cap < budget:
-            grow()
-        return False
 
     def coincidence(a: int, b: int) -> int:
         """Merge cosets a and b and every consequence; return the merges made."""
@@ -767,7 +748,7 @@ def _enumerate_cosets(
                     # definition also filled the backward entry or the
                     # next letter cancels this one
                     while j > i:
-                        if defined == limit and stopped():
+                        if defined == budget:
                             return table, parent, defined, live, False
                         if defined == cap:
                             grow()
@@ -796,7 +777,7 @@ def _enumerate_cosets(
             if parent[alpha] == alpha:
                 for col, inv in pairs:
                     if col[alpha] < 0:
-                        if defined == limit and stopped():
+                        if defined == budget:
                             return table, parent, defined, live, False
                         if defined == cap:
                             grow()
@@ -826,25 +807,18 @@ def _closed(
     return True
 
 
-def todd_coxeter(
-    p: GroupPresentation,
-    budget: int = DEFAULT_COSET_BUDGET,
-    probe: tuple[int, Callable[[], bool]] | None = None,
-) -> CosetTable:
+def todd_coxeter(p: GroupPresentation, budget: int = DEFAULT_COSET_BUDGET) -> CosetTable:
     """HLT coset enumeration over the trivial subgroup.
 
     Returns a complete table with the group order when it closes within
     ``budget`` cosets (counting every coset ever defined), otherwise an
-    exhausted table carrying no conclusion.  ``probe``, when given, is
-    ``(cosets, stop)``: ``stop()`` is called once, when the table has
-    not closed on ``cosets`` cosets; a true answer ends the enumeration
-    there, exhausted, and a false one lets it go on, repeating no work.
+    exhausted table carrying no conclusion.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     relators = [_word_to_cols(r) for r in p.relators]
     table, parent, defined, live, complete = _enumerate_cosets(
-        p.generator_count, relators, budget, probe
+        p.generator_count, relators, budget
     )
     if not complete:
         return CosetTable(budget=budget, live=live)

@@ -276,20 +276,21 @@ def cyclic_verdict(
        trivial subgroup closes only on a finite group, so on an
        infinite one it could only exhaust its budget, and no verdict
        is lost.
-    3. Bounded coset enumeration, paused once a tenth of the budget is
-       spent, so that a group that closes by then pays for no search.
-    4. At that pause, when d is at most ``budget``,
+    3. Bounded coset enumeration with a tenth of the budget, so that a
+       group that closes by then pays for no search.
+    4. When that exhausts and d is at most ``budget``,
        ``quotient_kernel_homology``: H1 of the kernel of each transitive
        permutation representation of small degree whose image has at
        most min(1000, budget) elements.  A free summand proves G
        infinite, so the verdict is undetermined with certificate
        ``infinite-subgroup-homology``, proven not Z/d, and enumeration
        stops, for the reason of step 2.
-    5. Otherwise enumeration goes on to the whole budget.  Cyclic needs
-       a completed enumeration of order d together with abelianization
-       exactly Z/d (a finite group surjecting onto an abelian group of
-       the same order is that group); a completed enumeration of
-       another order is ``finite``.
+    5. Otherwise enumeration starts again with the whole budget, which
+       repeats at most a tenth of its work.  Cyclic needs a completed
+       enumeration of order d together with abelianization exactly Z/d
+       (a finite group surjecting onto an abelian group of the same
+       order is that group); a completed enumeration of another order
+       is ``finite``.
     6. On an exhausted budget: an abelianization other than Z/d gives
        ``abelianization-mismatch``, and a nontrivial H1(K) gives
        ``kernel-homology`` (were G = Z/d, K would be trivial), both
@@ -305,17 +306,12 @@ def cyclic_verdict(
     kernels = kernel_homology(group, d) if d <= budget else []
     if any(h.free_rank for h in kernels):
         return Pi1Verdict("undetermined", None, "infinite-cover-homology"), True
-    infinite = False
-
-    def search() -> bool:
-        nonlocal infinite
-        infinite = quotient_kernel_homology(group, budget) is not None
-        return infinite
-
-    probe = (max(1, budget // 10), search) if d <= budget else None
-    table = todd_coxeter(group, budget, probe)
-    if infinite:
-        return Pi1Verdict("undetermined", None, "infinite-subgroup-homology"), True
+    probe = max(1, budget // 10) if d <= budget else budget
+    table = todd_coxeter(group, probe)
+    if not table.completed and probe < budget:
+        if quotient_kernel_homology(group, budget) is not None:
+            return Pi1Verdict("undetermined", None, "infinite-subgroup-homology"), True
+        table = todd_coxeter(group, budget)
     if table.completed:
         if table.order == d and ab_ok:
             return Pi1Verdict("cyclic", d, "coset-enumeration"), False

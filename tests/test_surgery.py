@@ -10,6 +10,7 @@ import rimtwist as rt
 from rimtwist import GroupPresentation, Pi1Verdict, SurgeryParams, congruent_pm1
 from rimtwist.groups import kernel_homology, quotient_kernel_homology, reduced_knot_presentation
 from rimtwist.surgery import determine_pi1
+from rimtwist.words import power
 from helpers import FIGURE_EIGHT, SMALL_CORPUS, TREFOIL, TREFOIL_SUM
 
 
@@ -61,6 +62,31 @@ def test_twist_rim_presentation_reduces_m_mod_d():
     untwisted = rt.twist_rim_presentation(tre, 5, 10)
     assert untwisted.relators == tre.relators + ((1,) * 5,)
     assert untwisted == rt.twist_rim_presentation(tre, 5, 0)
+
+
+def _full_twist_presentation(p, d, m):
+    """The twist-rim group with the twist relators g^-1 mu^-m g mu^m written out in full."""
+    mu = p.meridian
+    relators = list(p.relators) + [power(mu, d)]
+    for j in range(1, p.generator_count + 1):
+        if j != mu:
+            relators.append((-j,) + power(mu, -m) + (j,) + power(mu, m))
+    return GroupPresentation(p.generators, tuple(relators), mu)
+
+
+def test_twist_rim_presentation_matches_the_full_twist_relators():
+    # the m mod d relators give the same group as the full-m ones, for m
+    # at least d and for negative m, on finite groups of several orders
+    cases = [
+        (TREFOIL, 3, 3, 24), (TREFOIL, 3, -6, 24), (TREFOIL, 4, 8, 96), (TREFOIL, 4, -2, 12),
+        (TREFOIL, 5, 10, 600), (TREFOIL, 5, -5, 600), (FIGURE_EIGHT, 4, 6, 20), (FIGURE_EIGHT, 4, -6, 20),
+        (FIGURE_EIGHT, 5, -1, 5), (rt.parse_knot("T(2,5)"), 3, -3, 360), (rt.parse_knot("T(2,5)"), 3, 9, 360),
+    ]
+    for knot, d, m, order in cases:
+        p = rt.presentation_of_knot(knot)
+        full = rt.todd_coxeter(_full_twist_presentation(p, d, m), 20000)
+        reduced = rt.todd_coxeter(rt.twist_rim_presentation(p, d, m), 20000)
+        assert full.order == reduced.order == order, (rt.render(knot), d, m)
 
 
 def test_twist_rim_orders():
@@ -285,8 +311,9 @@ def _strength(verdict):
 
 def test_determine_pi1_matches_wirtinger_route():
     # the oracle enumerates the twist-rim group on the Wirtinger generators,
-    # with no Reidemeister-Schreier certificate; production enumerates it on
-    # the reduced presentation after the kernel checks.  A decided verdict
+    # with the full-m twist relators and no certificate; production
+    # enumerates it on the reduced presentation, with the m mod d relators,
+    # after the kernel and subgroup checks.  A decided verdict
     # never changes, and no verdict gets weaker
     knots = [k for _, k in SMALL_CORPUS] + [rt.parse_knot("T(2,7)"), rt.parse_knot("T(3,5)")]
     changes = Counter()
@@ -297,7 +324,7 @@ def test_determine_pi1_matches_wirtinger_route():
                 if congruent_pm1(d, m):
                     continue
                 for budget in (3000, 50000):
-                    want = _enumerated_verdict(rt.twist_rim_presentation(p, d, m), d, budget)
+                    want = _enumerated_verdict(_full_twist_presentation(p, d, m), d, budget)
                     got = determine_pi1(p, d, m, budget)
                     case = (rt.render(knot), d, m, budget, want, got)
                     if want[0].kind != "undetermined":
