@@ -3,7 +3,8 @@
 Abelianization through integer Smith normal form, homology of the
 index-d kernel and of its commutator subgroup by Reidemeister-Schreier,
 low-index subgroups and the homology of the kernels of their
-permutation representations, bounded Todd-Coxeter coset enumeration
+permutation representations, towers of cyclic covers over a point
+stabilizer, bounded Todd-Coxeter coset enumeration
 over the trivial subgroup (HLT strategy, in-place coincidence
 handling), and Tietze simplification.  Everything is exact and
 deterministic; enumeration that hits its coset budget reports
@@ -12,11 +13,11 @@ deterministic; enumeration that hits its coset budget reports
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import product
-from math import gcd, lcm
+from itertools import count, product
+from math import gcd, isqrt, lcm
 
 from .wirtinger import GroupPresentation, drop_redundant_crossing_relators
 from .words import Word, canonical_cyclic, cyclic_reduce, invert, substitute
@@ -367,6 +368,15 @@ def _schreier_rows(
     return rows, ncols, column
 
 
+def shift_action(p: GroupPresentation, d: int) -> list[list[int]]:
+    """The action of G on Z/d in which every generator adds 1.
+
+    It exists when every relator's exponent sum is 0 mod d; the
+    stabilizer of 0 is then the kernel K of G -> Z/d.
+    """
+    return [[(i + 1) % d for i in range(d)]] * p.generator_count
+
+
 def kernel_h1(
     p: GroupPresentation, d: int
 ) -> tuple[AbelianInvariants, list[tuple[int, ...]] | None, list[list[int]]]:
@@ -378,10 +388,42 @@ def kernel_h1(
     Returns ``(H1(K), images, column)``: the Schreier generators' images
     in H1(K) and their columns, as ``_schreier_rows`` numbers them.
     """
-    shift = [(i + 1) % d for i in range(d)]
-    rows, ncols, column = _schreier_rows(p.relators, [shift] * p.generator_count)
+    rows, ncols, column = _schreier_rows(p.relators, shift_action(p, d))
     kernel, images = _homology(rows, ncols)
     return kernel, images, column
+
+
+def _lift_action(
+    action: list[list[int]],
+    column: list[list[int]],
+    images: Sequence[tuple[int, ...]],
+    moduli: tuple[int, ...],
+) -> list[list[int]]:
+    """The action of G on the cosets of the kernel of a map from a stabilizer.
+
+    ``action`` is a transitive action of G, H the stabilizer of point 0,
+    and ``column`` numbers H's Schreier generators as ``_schreier_rows``
+    does; ``images[k]`` is the image of Schreier generator k in the sum
+    of the Z/t for t in ``moduli``, which it must generate.  G acts on
+    the pairs (c, v) by x·(c, v) = (c·x, v + image of (c, x)), with no
+    image on a tree edge, and the stabilizer of (0, 0) is the kernel.
+    Pair (c, v) is numbered c·N plus v's place in lexicographic order,
+    where N is the product of ``moduli``.
+    """
+    elements = list(product(*(range(t) for t in moduli)))
+    place = {v: k for k, v in enumerate(elements)}
+    size = len(elements)
+    zero = (0,) * len(moduli)
+    lifted = []
+    for perm, col in zip(action, column):
+        out = []
+        for c, e in enumerate(perm):
+            step = images[col[c]] if col[c] >= 0 else zero
+            base = e * size
+            for v in elements:
+                out.append(base + place[tuple((a + b) % t for a, b, t in zip(v, step, moduli))])
+        lifted.append(out)
+    return lifted
 
 
 def kernel_homology(p: GroupPresentation, d: int) -> list[AbelianInvariants]:
@@ -391,10 +433,9 @@ def kernel_homology(p: GroupPresentation, d: int) -> list[AbelianInvariants]:
     otherwise the list is empty.  H1(K) comes from ``kernel_h1``.  When
     H1(K) is finite and nontrivial and d·|H1(K)| is at most
     ``COMMUTATOR_INDEX_LIMIT``, the list also holds H1(K') for
-    K' = [K, K]: G acts on G/K', the pairs (i, v) with v in H1(K), by
-    x·(i, v) = (i+1, v + [t_i x t_(i+1)^-1]), and K' is the stabilizer
-    of (0, 0).  A free summand in either group makes G infinite; a
-    nontrivial H1(K) means G is not Z/d.
+    K' = [K, K], the kernel of K -> H1(K), through ``_lift_action``.  A
+    free summand in either group makes G infinite; a nontrivial H1(K)
+    means G is not Z/d.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -404,20 +445,7 @@ def kernel_homology(p: GroupPresentation, d: int) -> list[AbelianInvariants]:
     order = kernel.order()
     if order is None or order == 1 or d * order > COMMUTATOR_INDEX_LIMIT:
         return [kernel]
-    # coset (i, v) is numbered i·|H1(K)| plus v's place in ``elements``
-    elements = list(product(*(range(t) for t in kernel.torsion)))
-    place = {v: k for k, v in enumerate(elements)}
-    zero = (0,) * len(kernel.torsion)
-    action = []
-    for j in range(p.generator_count):
-        perm = []
-        for i in range(d):
-            step = images[column[j][i]] if column[j][i] >= 0 else zero
-            base = (i + 1) % d * order
-            for v in elements:
-                w = tuple((a + b) % t for a, b, t in zip(v, step, kernel.torsion))
-                perm.append(base + place[w])
-        action.append(perm)
+    action = _lift_action(shift_action(p, d), column, images, kernel.torsion)
     rows, ncols, _ = _schreier_rows(p.relators, action)
     return [kernel, _homology(rows, ncols)[0]]
 
@@ -591,12 +619,14 @@ def _regular_action(action: list[list[int]], limit: int) -> list[list[int]] | No
     return regular
 
 
-def quotient_kernel_homology(p: GroupPresentation, budget: int) -> AbelianInvariants | None:
+def quotient_kernel_homology(
+    p: GroupPresentation, actions: Iterable[list[list[int]]], budget: int
+) -> AbelianInvariants | None:
     """H1 of the kernel of a finite quotient of G, when it has a free summand.
 
-    Takes each action from ``low_index_actions`` of degree at most
-    min(``LOW_INDEX_DEGREE``, budget), and the regular action of its
-    image when that has at most min(``QUOTIENT_ORDER_LIMIT``, budget)
+    Takes each of ``actions``, transitive actions of G such as
+    ``low_index_actions`` yields, and the regular action of its image
+    when that has at most min(``QUOTIENT_ORDER_LIMIT``, budget)
     elements; the kernel is the stabilizer of the identity there, so
     ``_schreier_rows`` gives its abelianized presentation, reading every
     relator from the identity and so checking that the permutations
@@ -606,7 +636,7 @@ def quotient_kernel_homology(p: GroupPresentation, budget: int) -> AbelianInvari
     """
     limit = min(QUOTIENT_ORDER_LIMIT, budget)
     seen: set[tuple[tuple[int, ...], ...]] = set()
-    for action in low_index_actions(p, min(LOW_INDEX_DEGREE, budget)):
+    for action in actions:
         regular = _regular_action(action, limit)
         if regular is None or (key := tuple(map(tuple, regular))) in seen:
             continue
@@ -615,6 +645,72 @@ def quotient_kernel_homology(p: GroupPresentation, budget: int) -> AbelianInvari
         kernel = _homology(rows, ncols, images=False)[0]
         if kernel.free_rank:
             return kernel
+    return None
+
+
+# The largest index of the subgroups ``cover_tower`` takes, and how many
+# distinct subgroups it takes at most.  The figure-eight's group at d = 5
+# needs index 330 and 33 subgroups, T(3,4)'s at d = 5 index 90 and 44.
+TOWER_INDEX = 500
+TOWER_SUBGROUPS = 64
+
+
+def _stabilizer_key(action: list[list[int]]) -> tuple[int, ...]:
+    """The action renumbered breadth-first from point 0: equal exactly for equal stabilizers."""
+    new = {0: 0}
+    order = [0]
+    for c in order:
+        for perm in action:
+            if perm[c] not in new:
+                new[perm[c]] = len(order)
+                order.append(perm[c])
+    return tuple(new[perm[c]] for c in order for perm in action)
+
+
+def cover_tower(
+    p: GroupPresentation, actions: Iterable[list[list[int]]], budget: int
+) -> AbelianInvariants | None:
+    """H1 of a subgroup in a tower of cyclic covers, when it has a free summand.
+
+    Starts from the point stabilizers H of ``actions``, transitive
+    actions of G.  While H1(H) = sum of Z/t_i is finite, each factor i
+    and each prime q dividing t_i give the subgroup ker(H -> Z/t_i ->
+    Z/q) of index q in H, whose action ``_lift_action`` builds from the
+    images of H's Schreier generators (Magnus-Karrass-Solitar, section
+    2.3).  Subgroups are taken in order of index, up to
+    min(``TOWER_INDEX``, budget), each once, and at most
+    ``TOWER_SUBGROUPS`` of them.  ``_schreier_rows`` reads every relator
+    from every point and checks transitivity, so a wrong action raises
+    instead of certifying.  A free summand proves G infinite; None when
+    no subgroup shows one.
+    """
+    limit = min(TOWER_INDEX, budget)
+    primes = [q for q in range(2, limit + 1) if all(q % r for r in range(2, isqrt(q) + 1))]
+    # (index, order of discovery, action, lift): a cover's action is kept
+    # as its parent's and built by ``_lift_action(action, *lift)`` when taken
+    found = count()
+    heap = [(len(a[0]), next(found), a, None) for a in actions if len(a[0]) <= limit]
+    heapify(heap)
+    seen: set[tuple[int, ...]] = set()
+    while heap and len(seen) < TOWER_SUBGROUPS:
+        index, _, action, lift = heappop(heap)
+        if lift is not None:
+            action = _lift_action(action, *lift)
+        # two routes often reach one subgroup: take it once
+        if (key := _stabilizer_key(action)) in seen:
+            continue
+        seen.add(key)
+        rows, ncols, column = _schreier_rows(p.relators, action)
+        h1, images = _homology(rows, ncols)
+        if h1.free_rank:
+            return h1
+        for i, t in enumerate(h1.torsion):
+            for q in primes:
+                if index * q > limit:
+                    break
+                if t % q == 0:
+                    lift = (column, [(v[i] % q,) for v in images], (q,))
+                    heappush(heap, (index * q, next(found), action, lift))
     return None
 
 

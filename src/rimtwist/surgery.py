@@ -13,17 +13,22 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import tee
 from math import gcd
 
 from .alexander import alexander_polynomial
 from .covers import branched_cover_order, order_value
 from .groups import (
     DEFAULT_COSET_BUDGET,
+    LOW_INDEX_DEGREE,
     AbelianInvariants,
     abelianization,
+    cover_tower,
     kernel_homology,
+    low_index_actions,
     quotient_kernel_homology,
     reduced_knot_presentation,
+    shift_action,
     todd_coxeter,
 )
 from .knots import ConnectedSum, KnotExpr, Mirror, TorusKnot, Unknot, render
@@ -133,10 +138,11 @@ class Pi1Verdict:
     ``certificate`` names what decided the verdict: ``congruence`` and
     ``coset-enumeration`` for a cyclic or finite group;
     ``infinite-cover-homology`` (a free summand in H1 of the index-d
-    kernel or of its commutator subgroup),
-    ``infinite-subgroup-homology`` (a free summand in H1 of the kernel
-    of a permutation representation of small degree),
-    ``kernel-homology`` (a nontrivial H1 of the index-d kernel) and
+    kernel K, of its commutator subgroup, or of a subgroup in a tower of
+    cyclic covers over K), ``infinite-subgroup-homology`` (a free
+    summand in H1 of the kernel of a permutation representation of small
+    degree, or of a subgroup in a tower of cyclic covers over one of its
+    point stabilizers), ``kernel-homology`` (a nontrivial H1 of K) and
     ``abelianization-mismatch`` for an undetermined group proven not
     Z/d; ``budget-exhausted`` for one about which nothing is proven.
     The proven-not-Z/d certificates keep the kind undetermined, so
@@ -277,27 +283,31 @@ def cyclic_verdict(
        infinite one it could only exhaust its budget, and no verdict
        is lost.
     3. Bounded coset enumeration with a tenth of the budget, so that a
-       group that closes by then pays for no search.
-    4. When that exhausts and d is at most ``budget``,
-       ``quotient_kernel_homology``: H1 of the kernel of each transitive
-       permutation representation of small degree whose image has at
-       most min(1000, budget) elements.  A free summand proves G
-       infinite, so the verdict is undetermined with certificate
-       ``infinite-subgroup-homology``, proven not Z/d, and enumeration
-       stops, for the reason of step 2.
-    5. Otherwise enumeration starts again with the whole budget, which
+       group that closes by then pays for none of the steps below.
+    4. When that exhausts and d is at most ``budget``, ``cover_tower``
+       from K: cyclic covers of K, of index at most min(500, budget).
+       A free summand ends ``infinite-cover-homology``, for the reason
+       of step 2.
+    5. Then one search of ``low_index_actions``, the transitive
+       permutation representations of degree at most 9, whose actions
+       both of these take: ``quotient_kernel_homology``, H1 of the
+       kernel of each representation whose image has at most
+       min(1000, budget) elements, and ``cover_tower`` from the point
+       stabilizers.  A free summand ends ``infinite-subgroup-homology``,
+       for the reason of step 2.
+    6. Otherwise enumeration starts again with the whole budget, which
        repeats at most a tenth of its work.  Cyclic needs a completed
        enumeration of order d together with abelianization exactly Z/d
        (a finite group surjecting onto an abelian group of the same
        order is that group); a completed enumeration of another order
        is ``finite``.
-    6. On an exhausted budget: an abelianization other than Z/d gives
+    7. On an exhausted budget: an abelianization other than Z/d gives
        ``abelianization-mismatch``, and a nontrivial H1(K) gives
        ``kernel-homology`` (were G = Z/d, K would be trivial), both
        proven not Z/d.  Otherwise ``budget-exhausted`` decides nothing.
 
-    The certificates of steps 2, 4 and 6 keep the kind undetermined, so
-    ``--strict`` still exits 3 on them.
+    The certificates of steps 2, 4, 5 and 7 keep the kind undetermined,
+    so ``--strict`` still exits 3 on them.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -309,7 +319,15 @@ def cyclic_verdict(
     probe = max(1, budget // 10) if d <= budget else budget
     table = todd_coxeter(group, probe)
     if not table.completed and probe < budget:
-        if quotient_kernel_homology(group, budget) is not None:
+        if kernels and cover_tower(group, [shift_action(group, d)], budget) is not None:
+            return Pi1Verdict("undetermined", None, "infinite-cover-homology"), True
+        # one search: the kernels take its actions as they are found, and
+        # the tower, which needs them all, takes what ``tee`` kept
+        kernels_from, tower_from = tee(low_index_actions(group, min(LOW_INDEX_DEGREE, budget)))
+        if (
+            quotient_kernel_homology(group, kernels_from, budget) is not None
+            or cover_tower(group, tower_from, budget) is not None
+        ):
             return Pi1Verdict("undetermined", None, "infinite-subgroup-homology"), True
         table = todd_coxeter(group, budget)
     if table.completed:

@@ -15,10 +15,12 @@ from rimtwist.groups import (
     _root,
     _schreier_rows,
     _word_to_cols,
+    cover_tower,
     kernel_homology,
     low_index_actions,
     quotient_kernel_homology,
     reduced_knot_presentation,
+    shift_action,
     smith_invariants,
 )
 from rimtwist.wirtinger import drop_redundant_crossing_relators
@@ -676,7 +678,60 @@ def test_finite_groups_are_never_certified_infinite():
     for d, order in ((2, 6), (3, 24), (4, 96), (5, 600)):
         group = _trefoil_quotient(d)
         assert rt.todd_coxeter(group).order == order
-        assert quotient_kernel_homology(group, 10**6) is None, d
+        assert quotient_kernel_homology(group, low_index_actions(group, 9), 10**6) is None, d
+    # and the groups of pi1-enumerate's closing inputs: the trefoil with
+    # d | m, the others with every twist m mod d, and d | m at d = 2 (and at
+    # d = 3 for T(2,5)); neither tower finds a subgroup with a free H1
+    cases = [(_trefoil_quotient(d), d) for d in range(2, 6)]
+    for knot in (rt.parse_knot("T(2,5)"), rt.parse_knot("T(3,4)"), FIGURE_EIGHT):
+        p = reduced_knot_presentation(rt.presentation_of_knot(knot))
+        for d in range(2, 6):
+            for t in range(d):
+                if t or d == 2 or (rt.render(knot) == "T(2,5)" and d == 3):
+                    cases.append((rt.twist_rim_presentation(p, d, t), d))
+    assert len(cases) == 38
+    for group, d in cases:
+        assert rt.todd_coxeter(group, 200000).completed
+        assert cover_tower(group, [shift_action(group, d)], 10**6) is None, group
+        assert cover_tower(group, low_index_actions(group, 9), 10**6) is None, group
+
+
+def test_cover_tower_rejects_a_wrong_action():
+    # the trefoil at d = 8: H1(K) = Z/3, and K's cover of index 3 comes from
+    # the images of K's Schreier generators in it
+    group = _trefoil_quotient(8)
+    kernel, images, column = groups.kernel_h1(group, 8)
+    assert kernel == AbelianInvariants(0, (3,))
+    shift = shift_action(group, 8)
+    lifted = groups._lift_action(shift, column, images, (3,))
+    assert len(lifted[0]) == 24
+    for r in group.relators:
+        assert all(_image(lifted, r, c) == c for c in range(24)), r
+    _schreier_rows(group.relators, lifted)
+    # sending every Schreier generator to 1 is no homomorphism: the
+    # action breaks a relator, so the tower raises instead of certifying
+    wrong = groups._lift_action(shift, column, [(1,)] * len(images), (3,))
+    with pytest.raises(RuntimeError, match="does not fix"):
+        cover_tower(group, [wrong], 10**6)
+    with pytest.raises(RuntimeError, match="not transitive"):
+        cover_tower(group, [[[0, 1]] * group.generator_count], 10**6)
+
+
+def test_budget_caps_the_cover_tower():
+    # the figure-eight at d = 5: the first subgroup with a free H1 that the
+    # tower over point stabilizers reaches has index 330
+    fig8 = rt.presentation_of_knot(FIGURE_EIGHT)
+    group = rt.twist_rim_presentation(reduced_knot_presentation(fig8), 5, 0)
+    actions = list(low_index_actions(group, 9))
+    assert cover_tower(group, actions, 330).free_rank > 0
+    assert cover_tower(group, actions, 329) is None
+    # below that budget the kernel's nontrivial H1 is all that is proven
+    assert rt.surgery.determine_pi1(fig8, 5, 5, 330) == (
+        Pi1Verdict("undetermined", None, "infinite-subgroup-homology"), True
+    )
+    assert rt.surgery.determine_pi1(fig8, 5, 5, 329) == (
+        Pi1Verdict("undetermined", None, "kernel-homology"), True
+    )
 
 
 def test_low_index_actions_read_a_power_of_one_letter_once():
