@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .alexander import require_knot_group
-from .groups import AbelianInvariants, kernel_h1, reduced_knot_presentation
+from .groups import DEFAULT_COSET_BUDGET, AbelianInvariants, kernel_h1, reduced_knot_presentation
 from .laurent import LaurentPoly, resultant_with_cyclotomic
 from .wirtinger import GroupPresentation
 
@@ -46,11 +46,15 @@ def branched_cover_structure(p: GroupPresentation, d: int) -> AbelianInvariants:
     generator sent to 1: pi1 of the d-fold branched cover, whose
     meridian lifts to mu^d.
 
-    Raises ValueError for d < 1 and for a presentation that is not a
-    knot group's (``require_knot_group``).
+    Raises ValueError for d < 1, for d above ``DEFAULT_COSET_BUDGET``,
+    the largest coset table that any default-budget computation builds
+    (the d-coset table here has no other bound), and for a presentation
+    that is not a knot group's (``require_knot_group``).
     """
     if d < 1:
         raise ValueError("d must be >= 1")
+    if d > DEFAULT_COSET_BUDGET:
+        raise ValueError(f"d must be <= {DEFAULT_COSET_BUDGET} for the structure")
     q = reduced_knot_presentation(p)
     require_knot_group(q)
     closed = replace(q, relators=q.relators + ((q.meridian,) * d,))

@@ -2,13 +2,12 @@
 
 Abelianization through integer Smith normal form, homology of the
 index-d kernel and of its commutator subgroup by Reidemeister-Schreier,
-low-index subgroups and the homology of the kernels of their
-permutation representations, towers of cyclic covers over a point
-stabilizer, bounded Todd-Coxeter coset enumeration
-over the trivial subgroup (HLT strategy, in-place coincidence
-handling), and Tietze simplification.  Everything is exact and
-deterministic; enumeration that hits its coset budget reports
-"exhausted" rather than guessing.
+low-index subgroups, towers of cyclic covers over the point stabilizers
+of permutation representations and over the kernels of their images,
+bounded Todd-Coxeter coset enumeration over the trivial subgroup (HLT
+strategy, in-place coincidence handling), and Tietze simplification.
+Everything is exact and deterministic; enumeration that hits its coset
+budget reports "exhausted" rather than guessing.
 """
 
 from __future__ import annotations
@@ -253,24 +252,21 @@ COMMUTATOR_INDEX_LIMIT = 200
 
 
 def _homology(
-    rows: list[dict[int, int]], ncols: int, images: bool = True
+    rows: list[dict[int, int]], ncols: int
 ) -> tuple[AbelianInvariants, list[tuple[int, ...]] | None]:
     """Z^ncols modulo sparse relation rows, with the image of each basis vector.
 
     The images are coordinate tuples over the torsion factors, reduced
-    modulo each; they are None when the group is infinite or when
-    ``images`` is false, which spares tracking the column operations.
+    modulo each; they are None when the group is infinite.
     """
     pivots, rest, columns = _split_unit_pivots(rows)
-    basis = None
-    if images:
-        basis = [[int(i == k) for k in range(len(columns))] for i in range(len(columns))]
+    basis = [[int(i == k) for k in range(len(columns))] for i in range(len(columns))]
     factors = _dense_smith(rest, len(columns), basis)
     group = AbelianInvariants(
         free_rank=ncols - len(pivots) - len(factors),
         torsion=tuple(t for t in factors if t > 1),
     )
-    if group.free_rank or basis is None:
+    if group.free_rank:
         return group, None
     # U·A·V = D sends dense column k to row k of V, coordinate i modulo D_ii
     coords = [(basis[i], t) for i, t in enumerate(factors) if t > 1]
@@ -452,12 +448,10 @@ def kernel_homology(p: GroupPresentation, d: int) -> list[AbelianInvariants]:
 
 # -- low-index subgroups --------------------------------------------------
 
-# The largest degree of the actions and the largest image whose kernels
-# ``quotient_kernel_homology`` takes, and the steps one search of
-# ``low_index_actions`` may spend: one per table entry it sets, plus the
-# length of each relator it scans.
+# The largest degree of the actions that the pi1 certificates search for,
+# and the steps one search of ``low_index_actions`` may spend: one per
+# table entry it sets, plus the length of each relator it scans.
 LOW_INDEX_DEGREE = 9
-QUOTIENT_ORDER_LIMIT = 1000
 LOW_INDEX_STEPS = 200_000
 
 
@@ -619,35 +613,6 @@ def _regular_action(action: list[list[int]], limit: int) -> list[list[int]] | No
     return regular
 
 
-def quotient_kernel_homology(
-    p: GroupPresentation, actions: Iterable[list[list[int]]], budget: int
-) -> AbelianInvariants | None:
-    """H1 of the kernel of a finite quotient of G, when it has a free summand.
-
-    Takes each of ``actions``, transitive actions of G such as
-    ``low_index_actions`` yields, and the regular action of its image
-    when that has at most min(``QUOTIENT_ORDER_LIMIT``, budget)
-    elements; the kernel is the stabilizer of the identity there, so
-    ``_schreier_rows`` gives its abelianized presentation, reading every
-    relator from the identity and so checking that the permutations
-    satisfy it.  Actions with the same kernel have the same regular
-    action, which is taken once.  A free summand proves G infinite; None
-    when no kernel shows one.
-    """
-    limit = min(QUOTIENT_ORDER_LIMIT, budget)
-    seen: set[tuple[tuple[int, ...], ...]] = set()
-    for action in actions:
-        regular = _regular_action(action, limit)
-        if regular is None or (key := tuple(map(tuple, regular))) in seen:
-            continue
-        seen.add(key)
-        rows, ncols, _ = _schreier_rows(p.relators, regular)
-        kernel = _homology(rows, ncols, images=False)[0]
-        if kernel.free_rank:
-            return kernel
-    return None
-
-
 # The largest index of the subgroups ``cover_tower`` takes, and how many
 # distinct subgroups it takes at most.  The figure-eight's group at d = 5
 # needs index 330 and 33 subgroups, T(3,4)'s at d = 5 index 90 and 44.
@@ -673,34 +638,40 @@ def cover_tower(
     """H1 of a subgroup in a tower of cyclic covers, when it has a free summand.
 
     Starts from the point stabilizers H of ``actions``, transitive
-    actions of G.  While H1(H) = sum of Z/t_i is finite, each factor i
-    and each prime q dividing t_i give the subgroup ker(H -> Z/t_i ->
-    Z/q) of index q in H, whose action ``_lift_action`` builds from the
-    images of H's Schreier generators (Magnus-Karrass-Solitar, section
-    2.3).  Subgroups are taken in order of index, up to
-    min(``TOWER_INDEX``, budget), each once, and at most
-    ``TOWER_SUBGROUPS`` of them.  ``_schreier_rows`` reads every relator
-    from every point and checks transitivity, so a wrong action raises
-    instead of certifying.  A free summand proves G infinite; None when
-    no subgroup shows one.
+    actions of G, and from the kernel of each one's image, which is the
+    stabilizer of the identity in the image's regular action (Sims,
+    *Computation with Finitely Presented Groups*, ch. 5).  While H1(H) =
+    sum of Z/t_i is finite, each factor i and each prime q dividing t_i
+    give the subgroup ker(H -> Z/t_i -> Z/q) of index q in H, whose
+    action ``_lift_action`` builds from the images of H's Schreier
+    generators (Magnus-Karrass-Solitar, section 2.3).  Subgroups are
+    taken in order of index, up to min(``TOWER_INDEX``, budget), each
+    once, and at most ``TOWER_SUBGROUPS`` of them.  ``_schreier_rows``
+    reads every relator from every point and checks transitivity, so a
+    wrong action raises instead of certifying.  A free summand proves G
+    infinite; None when no subgroup shows one.
     """
     limit = min(TOWER_INDEX, budget)
     primes = [q for q in range(2, limit + 1) if all(q % r for r in range(2, isqrt(q) + 1))]
-    # (index, order of discovery, action, lift): a cover's action is kept
-    # as its parent's and built by ``_lift_action(action, *lift)`` when taken
+    # (index, order of discovery, action, lift): lift is None for one of
+    # ``actions`` and () for the kernel of its image; a cover's action is
+    # kept as its parent's and built by ``_lift_action(action, *lift)`` when taken
     found = count()
     heap = [(len(a[0]), next(found), a, None) for a in actions if len(a[0]) <= limit]
     heapify(heap)
     seen: set[tuple[int, ...]] = set()
     while heap and len(seen) < TOWER_SUBGROUPS:
         index, _, action, lift = heappop(heap)
-        if lift is not None:
+        if lift:
             action = _lift_action(action, *lift)
         # two routes often reach one subgroup: take it once
         if (key := _stabilizer_key(action)) in seen:
             continue
         seen.add(key)
         rows, ncols, column = _schreier_rows(p.relators, action)
+        # the rows have checked the action, so its image is a quotient of G
+        if lift is None and (regular := _regular_action(action, limit)) is not None:
+            heappush(heap, (len(regular[0]), next(found), regular, ()))
         h1, images = _homology(rows, ncols)
         if h1.free_rank:
             return h1

@@ -12,11 +12,11 @@ congruence d = +/-1 mod m.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from contextlib import suppress
 from dataclasses import dataclass
-from itertools import tee
 from math import gcd
 
-from .alexander import alexander_polynomial
+from .alexander import alexander_polynomial, require_knot_group
 from .covers import branched_cover_order, order_value
 from .groups import (
     DEFAULT_COSET_BUDGET,
@@ -26,7 +26,6 @@ from .groups import (
     cover_tower,
     kernel_homology,
     low_index_actions,
-    quotient_kernel_homology,
     reduced_knot_presentation,
     shift_action,
     todd_coxeter,
@@ -140,11 +139,11 @@ class Pi1Verdict:
     ``infinite-cover-homology`` (a free summand in H1 of the index-d
     kernel K, of its commutator subgroup, or of a subgroup in a tower of
     cyclic covers over K), ``infinite-subgroup-homology`` (a free
-    summand in H1 of the kernel of a permutation representation of small
-    degree, or of a subgroup in a tower of cyclic covers over one of its
-    point stabilizers), ``kernel-homology`` (a nontrivial H1 of K) and
-    ``abelianization-mismatch`` for an undetermined group proven not
-    Z/d; ``budget-exhausted`` for one about which nothing is proven.
+    summand in H1 of a subgroup in a tower of cyclic covers over a point
+    stabilizer of a permutation representation of small degree, or over
+    the kernel of its image), ``kernel-homology`` (a nontrivial H1 of
+    K) and ``abelianization-mismatch`` for an undetermined group proven
+    not Z/d; ``budget-exhausted`` for one about which nothing is proven.
     The proven-not-Z/d certificates keep the kind undetermined, so
     ``--strict`` exits 3 on them too.
     """
@@ -288,13 +287,12 @@ def cyclic_verdict(
        from K: cyclic covers of K, of index at most min(500, budget).
        A free summand ends ``infinite-cover-homology``, for the reason
        of step 2.
-    5. Then one search of ``low_index_actions``, the transitive
-       permutation representations of degree at most 9, whose actions
-       both of these take: ``quotient_kernel_homology``, H1 of the
-       kernel of each representation whose image has at most
-       min(1000, budget) elements, and ``cover_tower`` from the point
-       stabilizers.  A free summand ends ``infinite-subgroup-homology``,
-       for the reason of step 2.
+    5. Then ``cover_tower`` from the transitive permutation
+       representations of degree at most 9 that one search of
+       ``low_index_actions`` finds: from their point stabilizers and
+       from the kernel of each one's image, up to the same index.  A
+       free summand ends ``infinite-subgroup-homology``, for the reason
+       of step 2.
     6. Otherwise enumeration starts again with the whole budget, which
        repeats at most a tenth of its work.  Cyclic needs a completed
        enumeration of order d together with abelianization exactly Z/d
@@ -321,13 +319,8 @@ def cyclic_verdict(
     if not table.completed and probe < budget:
         if kernels and cover_tower(group, [shift_action(group, d)], budget) is not None:
             return Pi1Verdict("undetermined", None, "infinite-cover-homology"), True
-        # one search: the kernels take its actions as they are found, and
-        # the tower, which needs them all, takes what ``tee`` kept
-        kernels_from, tower_from = tee(low_index_actions(group, min(LOW_INDEX_DEGREE, budget)))
-        if (
-            quotient_kernel_homology(group, kernels_from, budget) is not None
-            or cover_tower(group, tower_from, budget) is not None
-        ):
+        actions = low_index_actions(group, min(LOW_INDEX_DEGREE, budget))
+        if cover_tower(group, actions, budget) is not None:
             return Pi1Verdict("undetermined", None, "infinite-subgroup-homology"), True
         table = todd_coxeter(group, budget)
     if table.completed:
@@ -348,7 +341,12 @@ def determine_pi1(
 
     Outside the congruence d = +/-1 mod m, the twist-rim group is built
     on ``reduced_knot_presentation(p)``, so ``budget`` counts the cosets
-    of a presentation on fewer generators than the Wirtinger one.
+    of a presentation on fewer generators than the Wirtinger one.  When
+    ``p`` presents a knot group (``require_knot_group``), the twist-rim
+    group maps onto Z/d, so its order is at least d; for d > budget no
+    table can close, and the verdict is ``budget-exhausted``, as
+    ``cyclic_verdict`` would find, without building the d-letter
+    relator mu^d.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -356,6 +354,10 @@ def determine_pi1(
         raise ValueError("budget must be >= 1")
     if congruent_pm1(d, m):
         return Pi1Verdict("cyclic", d, "congruence"), False
+    if d > budget:
+        with suppress(ValueError):
+            require_knot_group(p)
+            return Pi1Verdict("undetermined", None, "budget-exhausted"), False
     group = twist_rim_presentation(reduced_knot_presentation(p), d, m)
     return cyclic_verdict(group, d, budget)
 

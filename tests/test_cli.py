@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import rimtwist as rt
 from rimtwist.cli import build_parser, run
@@ -77,10 +78,17 @@ def test_pi1_text_and_strict():
     assert code == 3
 
 
-def test_budget_bounds_the_kernel_certificates():
-    # d = 2e5 cosets exceed the budget of 1000, so no kernel table is built
+def test_budget_bounds_the_kernel_certificates(monkeypatch):
+    # no table of 1000 cosets closes on a group that maps onto Z/d with
+    # d > 1000, so pi1 and classify answer without building the twist-rim
+    # group and its d-letter relator, in no time even at d = 1e9
+    monkeypatch.setattr(rt.surgery, "twist_rim_presentation", None)
     code, out, _ = _run(["pi1", "T(2,3)", "--d", "200000", "--m", "2", "--budget", "1000"])
     assert (code, out) == (0, "undetermined (budget-exhausted)\n")
+    start = time.perf_counter()
+    code, out, _ = _run(["classify", "T(2,3)", "--d", "1000000000", "--m", "2", "--budget", "1000"])
+    assert code == 0 and "pi1: undetermined (budget-exhausted)" in out, out
+    assert time.perf_counter() - start < 1
 
 
 def test_budget_rejected_on_every_input():
@@ -192,6 +200,11 @@ def test_error_exit_codes():
         for extra in ([], ["--json"]):
             code, out, err = _run(argv + extra)
             assert code == 2 and out == "" and "d must be >= 1" in err
+    # the structure's d-coset table is bounded by the default coset budget;
+    # the order is not
+    code, out, err = _run(["cover", "T(2,3)", "--d", "1000001", "--structure"])
+    assert (code, out) == (2, "") and "d must be <= 1000000" in err
+    assert _run(["cover", "T(2,3)", "--d", "1000001"])[:2] == (0, "order 1\n")
 
     # argparse failures also exit 2
     code, _, _ = _run(["cover", "T(2,3)"])

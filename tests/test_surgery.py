@@ -9,9 +9,9 @@ import pytest
 import rimtwist as rt
 from rimtwist import GroupPresentation, Pi1Verdict, SurgeryParams, congruent_pm1
 from rimtwist.groups import (
+    cover_tower,
     kernel_homology,
     low_index_actions,
-    quotient_kernel_homology,
     reduced_knot_presentation,
 )
 from rimtwist.surgery import determine_pi1
@@ -370,22 +370,23 @@ def test_pi1_kernel_certificates():
 
 def test_pi1_subgroup_certificates():
     # B3/<<sigma1^d>> is infinite from d = 6 on (Coxeter), but at d = 7, 8, 9
-    # neither K nor [K, K] has a free H1; the kernel of a permutation
-    # representation of degree 9 has one.  At d = 8 and 9 the cover tower
-    # over K finds one first; at d = 7 H1(K) is trivial, so K has no cyclic cover
+    # neither K nor [K, K] has a free H1; the cover tower over the actions
+    # of degree at most 9 reaches a subgroup that has one.  At d = 8 and 9
+    # the tower over K finds one first; at d = 7 H1(K) is trivial, so K has
+    # no cyclic cover
     def infinite(certificate):
         return Pi1Verdict("undetermined", None, certificate), True
 
     tre = rt.presentation_of_knot(TREFOIL)
-    for d, rank, certificate in (
-        (7, 14, "infinite-subgroup-homology"),
-        (8, 20, "infinite-cover-homology"),
-        (9, 20, "infinite-cover-homology"),
+    for d, certificate in (
+        (7, "infinite-subgroup-homology"),
+        (8, "infinite-cover-homology"),
+        (9, "infinite-cover-homology"),
     ):
         assert determine_pi1(tre, d, 2 * d, 200000) == infinite(certificate), d
         group = rt.twist_rim_presentation(reduced_knot_presentation(tre), d, 0)
         assert kernel_homology(group, d)[-1].free_rank == 0
-        assert quotient_kernel_homology(group, low_index_actions(group, 9), 200000).free_rank == rank, d
+        assert cover_tower(group, low_index_actions(group, 9), 200000).free_rank > 0, d
     t25 = rt.presentation_of_knot(rt.parse_knot("T(2,5)"))
     assert determine_pi1(t25, 4, 8, 200000) == infinite("infinite-cover-homology")
     # twist relators with m mod d in place of m give the same group
@@ -418,6 +419,29 @@ def test_pi1_cover_tower_certificates(monkeypatch):
     for p, d in cases:
         assert determine_pi1(p, d, d, 200000)[0].certificate.startswith("infinite-"), d
     assert budgets and 200000 not in budgets
+
+
+def test_determine_pi1_fails_fast_when_d_exceeds_the_budget():
+    # a knot's twist-rim group maps onto its abelianization Z/d, so no table
+    # of fewer than d cosets closes: the verdict is the one that enumerating
+    # the group would reach, found without building it
+    budget = 12
+    for _, knot in SMALL_CORPUS:
+        p = rt.presentation_of_knot(knot)
+        for d in range(budget + 1, 2 * budget + 1):
+            for m in (0, 4, d + 2, -5):
+                if congruent_pm1(d, m):
+                    continue
+                group = rt.twist_rim_presentation(reduced_knot_presentation(p), d, m)
+                want = rt.surgery.cyclic_verdict(group, d, budget)
+                assert want == (Pi1Verdict("undetermined", None, "budget-exhausted"), False)
+                assert determine_pi1(p, d, m, budget) == want, (rt.render(knot), d, m)
+    # <a, b | a b^-2> abelianizes to Z, but a is twice a generator, so its
+    # twist-rim group abelianizes to Z/2d: no shortcut for it
+    doubled = GroupPresentation(("a", "b"), ((1, -2, -2),), 1)
+    assert determine_pi1(doubled, 20, 4, budget) == (
+        Pi1Verdict("undetermined", None, "abelianization-mismatch"), True
+    )
 
 
 def test_determine_pi1_decides_more_on_the_reduced_presentation():
