@@ -1,9 +1,9 @@
 """Finitely presented group computations.
 
 Abelianization through integer Smith normal form, homology of the
-index-d kernel and of its commutator subgroup by Reidemeister-Schreier,
-low-index subgroups, towers of cyclic covers over the point stabilizers
-of permutation representations and over the kernels of their images,
+index-d kernel by Reidemeister-Schreier, low-index subgroups, towers of
+cyclic covers and commutator subgroups over the point stabilizers of
+permutation representations and over the kernels of their images,
 bounded Todd-Coxeter coset enumeration over the trivial subgroup (HLT
 strategy, in-place coincidence handling), and Tietze simplification.
 Everything is exact and deterministic; enumeration that hits its coset
@@ -16,7 +16,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import count, product
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .wirtinger import GroupPresentation, drop_redundant_crossing_relators
 from .words import Word, canonical_cyclic, cyclic_reduce, invert, substitute
@@ -245,11 +245,6 @@ def abelianization(p: GroupPresentation) -> AbelianInvariants:
 
 # -- Reidemeister-Schreier --------------------------------------------------
 
-# Largest index of K' = [K, K] whose homology ``kernel_homology`` takes.
-# Its rewritten presentation has about index times generator-count
-# columns, which the unit-pivot phase reduces in milliseconds at 200.
-COMMUTATOR_INDEX_LIMIT = 200
-
 
 def _homology(
     rows: list[dict[int, int]], ncols: int
@@ -422,30 +417,6 @@ def _lift_action(
     return lifted
 
 
-def kernel_homology(p: GroupPresentation, d: int) -> list[AbelianInvariants]:
-    """H1 of the kernel K of G -> Z/d sending every generator to 1, then of [K, K].
-
-    The map exists only when every relator's exponent sum is 0 mod d;
-    otherwise the list is empty.  H1(K) comes from ``kernel_h1``.  When
-    H1(K) is finite and nontrivial and d·|H1(K)| is at most
-    ``COMMUTATOR_INDEX_LIMIT``, the list also holds H1(K') for
-    K' = [K, K], the kernel of K -> H1(K), through ``_lift_action``.  A
-    free summand in either group makes G infinite; a nontrivial H1(K)
-    means G is not Z/d.
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if any(sum(1 if x > 0 else -1 for x in r) % d for r in p.relators):
-        return []
-    kernel, images, column = kernel_h1(p, d)
-    order = kernel.order()
-    if order is None or order == 1 or d * order > COMMUTATOR_INDEX_LIMIT:
-        return [kernel]
-    action = _lift_action(shift_action(p, d), column, images, kernel.torsion)
-    rows, ncols, _ = _schreier_rows(p.relators, action)
-    return [kernel, _homology(rows, ncols)[0]]
-
-
 # -- low-index subgroups --------------------------------------------------
 
 # The largest degree of the actions that the pi1 certificates search for,
@@ -613,9 +584,10 @@ def _regular_action(action: list[list[int]], limit: int) -> list[list[int]] | No
     return regular
 
 
-# The largest index of the subgroups ``cover_tower`` takes, and how many
-# distinct subgroups it takes at most.  The figure-eight's group at d = 5
-# needs index 330 and 33 subgroups, T(3,4)'s at d = 5 index 90 and 44.
+# The largest index of the kernels and covers that ``cover_tower`` builds
+# (its roots are taken at any index), and how many distinct subgroups it
+# takes at most.  The figure-eight's group at d = 5 needs index 330 and
+# 33 subgroups, T(3,4)'s at d = 5 index 90 and 44.
 TOWER_INDEX = 500
 TOWER_SUBGROUPS = 64
 
@@ -635,29 +607,30 @@ def _stabilizer_key(action: list[list[int]]) -> tuple[int, ...]:
 def cover_tower(
     p: GroupPresentation, actions: Iterable[list[list[int]]], budget: int
 ) -> AbelianInvariants | None:
-    """H1 of a subgroup in a tower of cyclic covers, when it has a free summand.
+    """H1 of a subgroup in a tower of covers, when it has a free summand.
 
     Starts from the point stabilizers H of ``actions``, transitive
-    actions of G, and from the kernel of each one's image, which is the
-    stabilizer of the identity in the image's regular action (Sims,
-    *Computation with Finitely Presented Groups*, ch. 5).  While H1(H) =
-    sum of Z/t_i is finite, each factor i and each prime q dividing t_i
-    give the subgroup ker(H -> Z/t_i -> Z/q) of index q in H, whose
-    action ``_lift_action`` builds from the images of H's Schreier
-    generators (Magnus-Karrass-Solitar, section 2.3).  Subgroups are
-    taken in order of index, up to min(``TOWER_INDEX``, budget), each
-    once, and at most ``TOWER_SUBGROUPS`` of them.  ``_schreier_rows``
+    actions of G, each at its own index, and from the kernel of each
+    one's image, which is the stabilizer of the identity in the image's
+    regular action (Sims, *Computation with Finitely Presented Groups*,
+    ch. 5).  While H1(H) = sum of Z/t_i is finite, each factor i and
+    each prime q dividing t_i give the subgroup ker(H -> Z/t_i -> Z/q)
+    of index q in H, and when |H1(H)| is composite, [H, H] =
+    ker(H -> H1(H)) is one more; ``_lift_action`` builds their actions
+    from the images of H's Schreier generators (Magnus-Karrass-Solitar,
+    section 2.3).  Subgroups are taken in order of index, each once, and
+    at most ``TOWER_SUBGROUPS`` of them; the kernels and covers it builds
+    have index at most min(``TOWER_INDEX``, budget).  ``_schreier_rows``
     reads every relator from every point and checks transitivity, so a
     wrong action raises instead of certifying.  A free summand proves G
     infinite; None when no subgroup shows one.
     """
     limit = min(TOWER_INDEX, budget)
-    primes = [q for q in range(2, limit + 1) if all(q % r for r in range(2, isqrt(q) + 1))]
     # (index, order of discovery, action, lift): lift is None for one of
     # ``actions`` and () for the kernel of its image; a cover's action is
     # kept as its parent's and built by ``_lift_action(action, *lift)`` when taken
     found = count()
-    heap = [(len(a[0]), next(found), a, None) for a in actions if len(a[0]) <= limit]
+    heap = [(len(a[0]), next(found), a, None) for a in actions]
     heapify(heap)
     seen: set[tuple[int, ...]] = set()
     while heap and len(seen) < TOWER_SUBGROUPS:
@@ -669,19 +642,28 @@ def cover_tower(
             continue
         seen.add(key)
         rows, ncols, column = _schreier_rows(p.relators, action)
-        # the rows have checked the action, so its image is a quotient of G
-        if lift is None and (regular := _regular_action(action, limit)) is not None:
+        # the rows have checked the action, so its image is a quotient of G;
+        # a transitive image of degree n > limit / 2 and at most ``limit``
+        # elements has n of them, so its kernel is the stabilizer just taken
+        if lift is None and 2 * index <= limit and (regular := _regular_action(action, limit)):
             heappush(heap, (len(regular[0]), next(found), regular, ()))
         h1, images = _homology(rows, ncols)
         if h1.free_rank:
             return h1
         for i, t in enumerate(h1.torsion):
-            for q in primes:
-                if index * q > limit:
-                    break
+            # trial division finds each prime factor q once
+            q = 2
+            while t > 1 and index * q <= limit:
                 if t % q == 0:
                     lift = (column, [(v[i] % q,) for v in images], (q,))
                     heappush(heap, (index * q, next(found), action, lift))
+                    while t % q == 0:
+                        t //= q
+                q += 1
+        # [H, H], unless H1(H) is trivial (H) or of prime order (the cover above)
+        order = h1.order()
+        if index * order <= limit and any(order % q == 0 for q in range(2, order)):
+            heappush(heap, (index * order, next(found), action, (column, images, h1.torsion)))
     return None
 
 

@@ -24,7 +24,7 @@ from .groups import (
     AbelianInvariants,
     abelianization,
     cover_tower,
-    kernel_homology,
+    kernel_h1,
     low_index_actions,
     reduced_knot_presentation,
     shift_action,
@@ -33,7 +33,7 @@ from .groups import (
 from .knots import ConnectedSum, KnotExpr, Mirror, TorusKnot, Unknot, render
 from .laurent import LaurentPoly
 from .wirtinger import GroupPresentation, presentation_of_knot
-from .words import power
+from .words import power, total_exponent
 
 
 @dataclass(frozen=True)
@@ -136,14 +136,15 @@ class Pi1Verdict:
 
     ``certificate`` names what decided the verdict: ``congruence`` and
     ``coset-enumeration`` for a cyclic or finite group;
-    ``infinite-cover-homology`` (a free summand in H1 of the index-d
-    kernel K, of its commutator subgroup, or of a subgroup in a tower of
-    cyclic covers over K), ``infinite-subgroup-homology`` (a free
-    summand in H1 of a subgroup in a tower of cyclic covers over a point
-    stabilizer of a permutation representation of small degree, or over
-    the kernel of its image), ``kernel-homology`` (a nontrivial H1 of
-    K) and ``abelianization-mismatch`` for an undetermined group proven
-    not Z/d; ``budget-exhausted`` for one about which nothing is proven.
+    ``infinite-cover-homology`` (a free summand in H1 of a subgroup in
+    the tower over the index-d kernel K: K itself, a commutator
+    subgroup or a cyclic cover), ``infinite-subgroup-homology`` (a free
+    summand in H1 of a subgroup in a tower over a point stabilizer of a
+    permutation representation of small degree, or over the kernel of
+    its image), ``kernel-homology`` (a nontrivial H1 of K, read once the
+    budget is exhausted) and ``abelianization-mismatch`` for an
+    undetermined group proven not Z/d; ``budget-exhausted`` for one
+    about which nothing is proven.
     The proven-not-Z/d certificates keep the kind undetermined, so
     ``--strict`` exits 3 on them too.
     """
@@ -272,53 +273,49 @@ def cyclic_verdict(
 
     1. Abelianization against Z/d.
     2. When d is at most ``budget``, so that the budget bounds the
-       d-coset table of K, ``kernel_homology``: H1 of the kernel K of
-       G -> Z/d that sends every generator to 1, and of K' = [K, K]
-       when H1(K) is finite, nontrivial and of small index.  A free
-       summand in either proves G infinite, so the verdict is
-       undetermined with certificate ``infinite-cover-homology``,
-       proven not Z/d, and enumeration is skipped: enumeration over the
-       trivial subgroup closes only on a finite group, so on an
-       infinite one it could only exhaust its budget, and no verdict
-       is lost.
+       d-coset table of K, and every relator's exponent sum is 0 mod d,
+       ``cover_tower`` over the kernel K of G -> Z/d that sends every
+       generator to 1: K itself, then the commutator subgroup and the
+       cyclic covers of each subgroup it reaches, up to index
+       min(500, budget).  A free summand proves G infinite, so
+       the verdict is undetermined with certificate
+       ``infinite-cover-homology``, proven not Z/d, and enumeration is
+       skipped: enumeration over the trivial subgroup closes only on a
+       finite group, so on an infinite one it could only exhaust its
+       budget, and no verdict is lost.
     3. Bounded coset enumeration with a tenth of the budget, so that a
        group that closes by then pays for none of the steps below.
-    4. When that exhausts and d is at most ``budget``, ``cover_tower``
-       from K: cyclic covers of K, of index at most min(500, budget).
-       A free summand ends ``infinite-cover-homology``, for the reason
-       of step 2.
-    5. Then ``cover_tower`` from the transitive permutation
-       representations of degree at most 9 that one search of
-       ``low_index_actions`` finds: from their point stabilizers and
+    4. When that exhausts, ``cover_tower`` from the transitive
+       permutation representations of degree at most 9 that one search
+       of ``low_index_actions`` finds: from their point stabilizers and
        from the kernel of each one's image, up to the same index.  A
        free summand ends ``infinite-subgroup-homology``, for the reason
        of step 2.
-    6. Otherwise enumeration starts again with the whole budget, which
+    5. Otherwise enumeration starts again with the whole budget, which
        repeats at most a tenth of its work.  Cyclic needs a completed
        enumeration of order d together with abelianization exactly Z/d
        (a finite group surjecting onto an abelian group of the same
        order is that group); a completed enumeration of another order
        is ``finite``.
-    7. On an exhausted budget: an abelianization other than Z/d gives
-       ``abelianization-mismatch``, and a nontrivial H1(K) gives
-       ``kernel-homology`` (were G = Z/d, K would be trivial), both
-       proven not Z/d.  Otherwise ``budget-exhausted`` decides nothing.
+    6. On an exhausted budget: an abelianization other than Z/d gives
+       ``abelianization-mismatch``, and where step 2 ran, a nontrivial
+       H1(K) gives ``kernel-homology`` (were G = Z/d, K would be
+       trivial), both proven not Z/d.  Otherwise ``budget-exhausted``
+       decides nothing.
 
-    The certificates of steps 2, 4, 5 and 7 keep the kind undetermined,
+    The certificates of steps 2, 4 and 6 keep the kind undetermined,
     so ``--strict`` still exits 3 on them.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     expected = AbelianInvariants(free_rank=0, torsion=(d,) if d > 1 else ())
     ab_ok = abelianization(group) == expected
-    kernels = kernel_homology(group, d) if d <= budget else []
-    if any(h.free_rank for h in kernels):
+    over_k = d <= budget and all(total_exponent(r) % d == 0 for r in group.relators)
+    if over_k and cover_tower(group, [shift_action(group, d)], budget) is not None:
         return Pi1Verdict("undetermined", None, "infinite-cover-homology"), True
     probe = max(1, budget // 10) if d <= budget else budget
     table = todd_coxeter(group, probe)
     if not table.completed and probe < budget:
-        if kernels and cover_tower(group, [shift_action(group, d)], budget) is not None:
-            return Pi1Verdict("undetermined", None, "infinite-cover-homology"), True
         actions = low_index_actions(group, min(LOW_INDEX_DEGREE, budget))
         if cover_tower(group, actions, budget) is not None:
             return Pi1Verdict("undetermined", None, "infinite-subgroup-homology"), True
@@ -329,7 +326,7 @@ def cyclic_verdict(
         return Pi1Verdict("finite", table.order, "coset-enumeration"), True
     if not ab_ok:
         return Pi1Verdict("undetermined", None, "abelianization-mismatch"), True
-    if kernels and kernels[0].order() != 1:
+    if over_k and kernel_h1(group, d)[0].order() != 1:
         return Pi1Verdict("undetermined", None, "kernel-homology"), True
     return Pi1Verdict("undetermined", None, "budget-exhausted"), False
 

@@ -91,6 +91,20 @@ def test_budget_bounds_the_kernel_certificates(monkeypatch):
     assert time.perf_counter() - start < 1
 
 
+def test_tower_roots_of_large_degree():
+    # the index-d kernel is a root of the tower at any d up to the budget,
+    # and the regular action of a root's image encodes points as bytes:
+    # shift actions on 302 and 260 points must end in a verdict, not exit 2
+    code, out, _ = _run(["pi1", "T(2,3)#mirror(T(2,3))", "--d", "302", "--m", "4"])
+    assert (code, out) == (0, "undetermined (infinite-subgroup-homology)\n")
+    code, out, _ = _run(["pi1", "braid(3; 1 -2 1 -2)", "--d", "260", "--m", "260"])
+    assert (code, out) == (0, "undetermined (kernel-homology)\n")
+    # K at d = 600 exceeds the index of the covers the tower builds, but it
+    # is taken as a root all the same
+    code, out, _ = _run(["pi1", "T(2,3)", "--d", "600", "--m", "600"])
+    assert (code, out) == (0, "undetermined (infinite-cover-homology)\n")
+
+
 def test_budget_rejected_on_every_input():
     # d = 5 is +-1 mod 4, so the congruence decides pi1 without enumerating;
     # a bad budget must still be refused, before any output

@@ -16,13 +16,13 @@ from rimtwist.groups import (
     _schreier_rows,
     _word_to_cols,
     cover_tower,
-    kernel_homology,
     low_index_actions,
     reduced_knot_presentation,
     shift_action,
     smith_invariants,
 )
 from rimtwist.wirtinger import drop_redundant_crossing_relators
+from rimtwist.words import total_exponent
 from helpers import FIGURE_EIGHT, SMALL_CORPUS, TREFOIL
 
 
@@ -474,9 +474,14 @@ def test_cyclic_verdict():
     assert rt.cyclic_verdict(triangle, 1, budget=500) == (
         Pi1Verdict("undetermined", None, "infinite-subgroup-homology"), True
     )
-    # at budget 100 no image of order 168 is built, and every smaller finite
-    # quotient is trivial, so exhaustion stays inconclusive
+    # at budget 100 no image of order 168 is built, but a degree-7 point
+    # stabilizer H has H1(H) = Z/2 + Z/2, and a cyclic cover of [H, H], of
+    # index 84, has a free H1; below that index the tower reaches no
+    # subgroup with one, so exhaustion stays inconclusive
     assert rt.cyclic_verdict(triangle, 1, budget=100) == (
+        Pi1Verdict("undetermined", None, "infinite-subgroup-homology"), True
+    )
+    assert rt.cyclic_verdict(triangle, 1, budget=83) == (
         Pi1Verdict("undetermined", None, "budget-exhausted"), False
     )
     with pytest.raises(ValueError):
@@ -490,9 +495,14 @@ def test_cyclic_verdict_abelianization_certificate():
     assert rt.cyclic_verdict(cyclic6, 5, budget=1) == (
         Pi1Verdict("undetermined", None, "abelianization-mismatch"), True
     )
-    # no map sends g to 1 in Z/5, since the exponent sum 6 is not 0 mod 5,
-    # so no kernel is taken
-    assert kernel_homology(cyclic6, 5) == []
+    # no map sends g to 1 in Z/5, since the exponent sum 6 is not 0 mod 5:
+    # the shift action breaks the relator, so no kernel is taken, and
+    # enumeration decides the group
+    with pytest.raises(RuntimeError, match="does not fix"):
+        _schreier_rows(cyclic6.relators, shift_action(cyclic6, 5))
+    assert rt.cyclic_verdict(cyclic6, 5, budget=10) == (
+        Pi1Verdict("finite", 6, "coset-enumeration"), True
+    )
 
 
 def _sympy_kernel_h1(p, d):
@@ -528,7 +538,7 @@ def test_kernel_homology_against_sympy_oracle():
     for text, d, m in cases:
         p = reduced_knot_presentation(rt.presentation_of_knot(rt.parse_knot(text)))
         group = rt.twist_rim_presentation(p, d, m)
-        assert kernel_homology(group, d)[0] == _sympy_kernel_h1(group, d), (text, d, m)
+        assert groups.kernel_h1(group, d)[0] == _sympy_kernel_h1(group, d), (text, d, m)
 
 
 def test_homology_images_satisfy_the_relations():
@@ -741,6 +751,50 @@ def test_cover_tower_proves_what_the_quotient_kernels_prove():
     for d in range(2, 6):
         group = _trefoil_quotient(d)
         assert _quotient_kernels(group, low_index_actions(group, 9), 500) is None, d
+
+
+def _kernel_homology(p, d):
+    """H1 of the kernel K of G -> Z/d sending every generator to 1, then of [K, K].
+
+    The route that the tower over K replaced: empty when the map does
+    not exist, and H1([K, K]) only when H1(K) is finite and nontrivial
+    and d·|H1(K)| is at most 200.  A free summand in either proves G
+    infinite.
+    """
+    if any(total_exponent(r) % d for r in p.relators):
+        return []
+    kernel, images, column = groups.kernel_h1(p, d)
+    order = kernel.order()
+    if order is None or order == 1 or d * order > 200:
+        return [kernel]
+    action = groups._lift_action(shift_action(p, d), column, images, kernel.torsion)
+    rows, ncols, _ = _schreier_rows(p.relators, action)
+    return [kernel, _homology(rows, ncols)[0]]
+
+
+def test_cover_tower_over_k_proves_what_the_kernel_homology_proves():
+    # the groups of the 490-case sweep in test_determine_pi1_matches_wirtinger_route,
+    # and the trefoil at d = 600 and 606 with d | m, where K's index exceeds
+    # TOWER_INDEX: wherever the oracle finds a free H1(K) or H1([K, K]), the
+    # tower over K finds a free summand too
+    knots = [k for _, k in SMALL_CORPUS] + [rt.parse_knot("T(2,7)"), rt.parse_knot("T(3,5)")]
+    cases = []
+    for knot in knots:
+        p = reduced_knot_presentation(rt.presentation_of_knot(knot))
+        for d in range(2, 8):
+            for m in range(-2, 9):
+                if not rt.congruent_pm1(d, m):
+                    group = rt.twist_rim_presentation(p, d, m)
+                    cases += [(group, d, budget) for budget in (3000, 50000)]
+    assert len(cases) == 490
+    cases += [(_trefoil_quotient(d), d, 10**6) for d in (600, 606)]
+    certified = 0
+    for group, d, budget in cases:
+        if any(h.free_rank for h in _kernel_homology(group, d)):
+            certified += 1
+            assert cover_tower(group, [shift_action(group, d)], budget).free_rank > 0, (d, budget)
+    # 45 groups of the sweep at each budget, and both trefoils
+    assert certified == 92
 
 
 def test_cover_tower_rejects_a_wrong_action():

@@ -10,9 +10,10 @@ import rimtwist as rt
 from rimtwist import GroupPresentation, Pi1Verdict, SurgeryParams, congruent_pm1
 from rimtwist.groups import (
     cover_tower,
-    kernel_homology,
+    kernel_h1,
     low_index_actions,
     reduced_knot_presentation,
+    shift_action,
 )
 from rimtwist.surgery import determine_pi1
 from rimtwist.words import power
@@ -350,30 +351,30 @@ def test_determine_pi1_matches_wirtinger_route():
 
 
 def test_pi1_kernel_certificates():
-    # T(2,3)#mirror(T(2,3)) at d = 2: H1(K) = Z/3 + Z/3, and [K, K] at
-    # index 18 has a free summand, so enumeration is skipped
+    # T(2,3)#mirror(T(2,3)) at d = 2: H1(K) = Z/3 + Z/3, and the tower over
+    # K reaches a subgroup with a free summand, so enumeration is skipped
     group = rt.twist_rim_presentation(reduced_knot_presentation(rt.presentation_of_knot(TREFOIL_SUM)), 2, 4)
-    kernel, commutator = kernel_homology(group, 2)
-    assert kernel == rt.AbelianInvariants(0, (3, 3)) and commutator.free_rank > 0
+    assert kernel_h1(group, 2)[0] == rt.AbelianInvariants(0, (3, 3))
+    assert cover_tower(group, [shift_action(group, 2)], 10**6).free_rank > 0
     assert determine_pi1(rt.presentation_of_knot(TREFOIL_SUM), 2, 4, 10**6) == (
         Pi1Verdict("undetermined", None, "infinite-cover-homology"), True
     )
     # T(2,3) at d = 3, m = 3: H1(K) = Z/2 + Z/2 and the group still
-    # enumerates to order 24 (K is the quaternion group, [K, K] = Z/2);
-    # once the budget runs out, the kernel proves it is not Z/3
+    # enumerates to order 24 (K is the quaternion group, so no tower over
+    # it certifies); once the budget runs out, the kernel proves it is not Z/3
     tre = rt.presentation_of_knot(TREFOIL)
     group = rt.twist_rim_presentation(reduced_knot_presentation(tre), 3, 3)
-    assert kernel_homology(group, 3) == [rt.AbelianInvariants(0, (2, 2)), rt.AbelianInvariants(0, (2,))]
+    assert kernel_h1(group, 3)[0] == rt.AbelianInvariants(0, (2, 2))
+    assert cover_tower(group, [shift_action(group, 3)], 10**6) is None
     assert determine_pi1(tre, 3, 3, 10**6) == (Pi1Verdict("finite", 24, "coset-enumeration"), True)
     assert determine_pi1(tre, 3, 3, 3) == (Pi1Verdict("undetermined", None, "kernel-homology"), True)
 
 
 def test_pi1_subgroup_certificates():
     # B3/<<sigma1^d>> is infinite from d = 6 on (Coxeter), but at d = 7, 8, 9
-    # neither K nor [K, K] has a free H1; the cover tower over the actions
-    # of degree at most 9 reaches a subgroup that has one.  At d = 8 and 9
-    # the tower over K finds one first; at d = 7 H1(K) is trivial, so K has
-    # no cyclic cover
+    # H1(K) is finite; the cover tower over the actions of degree at most 9
+    # reaches a subgroup that has a free H1.  At d = 8 and 9 the tower over
+    # K finds one first; at d = 7 H1(K) is trivial, so K has no cover
     def infinite(certificate):
         return Pi1Verdict("undetermined", None, certificate), True
 
@@ -385,7 +386,7 @@ def test_pi1_subgroup_certificates():
     ):
         assert determine_pi1(tre, d, 2 * d, 200000) == infinite(certificate), d
         group = rt.twist_rim_presentation(reduced_knot_presentation(tre), d, 0)
-        assert kernel_homology(group, d)[-1].free_rank == 0
+        assert kernel_h1(group, d)[0].free_rank == 0
         assert cover_tower(group, low_index_actions(group, 9), 200000).free_rank > 0, d
     t25 = rt.presentation_of_knot(rt.parse_knot("T(2,5)"))
     assert determine_pi1(t25, 4, 8, 200000) == infinite("infinite-cover-homology")
