@@ -21,7 +21,6 @@ from .groups import (
     AbelianInvariants,
     CosetTable,
     abelianization,
-    smith_invariants,
     tietze_simplify,
     todd_coxeter,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "render",
     "resultant_with_cyclotomic",
     "ribbon_certificate",
-    "smith_invariants",
     "tietze_simplify",
     "todd_coxeter",
     "torus_alexander",

@@ -5,10 +5,11 @@ the resultant of the Alexander polynomial against t^d - 1 (the product
 of its values over the d-th roots of unity); it costs O(e^2 log d) for
 a polynomial of degree e, plus an integer determinant of size at most
 2e - 1, so d = 10^5 is cheap.  The group structure is H1 of
-pi1(Sigma_d), the kernel of G/<<mu^d>> -> Z/d for a meridian mu:
-Reidemeister-Schreier on the d cosets of the reduced knot presentation
-(``groups.kernel_h1``) and one Smith normal form of the rewritten,
-sparse relators.  The two routes share only the presentation.
+pi1(Sigma_d), the kernel of G/<<mu^d>> -> Z/d for a meridian mu, taken
+by ``groups.kernel_h1``: Reidemeister-Schreier on the d cosets of the
+reduced knot presentation and the Smith normal form of the rewritten,
+sparse relators, the one H1 route of the package.  The two routes share
+only the presentation and the check that it presents a knot group.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def branched_cover_structure(p: GroupPresentation, d: int) -> AbelianInvariants:
     q = reduced_knot_presentation(p)
     require_knot_group(q)
     closed = replace(q, relators=q.relators + ((q.meridian,) * d,))
-    return kernel_h1(closed, d)[0]
+    return kernel_h1(closed, d)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Finitely presented group computations.
 
-Abelianization through integer Smith normal form, homology of the
-index-d kernel by Reidemeister-Schreier, low-index subgroups, towers of
-cyclic covers and commutator subgroups over the point stabilizers of
-permutation representations and over the kernels of their images,
-bounded Todd-Coxeter coset enumeration over the trivial subgroup (HLT
-strategy, in-place coincidence handling), and Tietze simplification.
+Homology of the index-d kernel by Reidemeister-Schreier and one integer
+Smith normal form (the abelianization is the case d = 1), low-index
+subgroups, towers of cyclic covers and commutator subgroups over the
+point stabilizers of permutation representations and over the kernels
+of their images, bounded Todd-Coxeter coset enumeration over the
+trivial subgroup (HLT strategy, in-place coincidence handling), and
+Tietze simplification.
 Everything is exact and deterministic; enumeration that hits its coset
 budget reports "exhausted" rather than guessing.
 """
@@ -25,22 +26,6 @@ DEFAULT_COSET_BUDGET = 10**6
 
 
 # -- Smith normal form ---------------------------------------------------
-
-
-def smith_invariants(matrix: Sequence[Sequence[int]], ncols: int) -> list[int]:
-    """Nonzero invariant factors of an integer matrix, in divisibility order.
-
-    Splits off every +/-1 pivot on sparse rows first
-    (``_split_unit_pivots``), then runs ``_dense_smith`` on what is
-    left; plain Python integers, so no overflow at any size.
-    """
-    rows = []
-    for row in matrix:
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
-        rows.append({j: v for j, v in enumerate(row) if v})
-    pivots, rest, columns = _split_unit_pivots(rows)
-    return [1] * len(pivots) + _dense_smith(rest, len(columns))
 
 
 def _split_unit_pivots(
@@ -107,24 +92,22 @@ def _split_unit_pivots(
     return pivots, rest, columns
 
 
-def _dense_smith(
-    m: list[list[int]], ncols: int, basis: list[list[int]] | None = None
-) -> list[int]:
+def _dense_smith(m: list[list[int]], basis: list[list[int]]) -> list[int]:
     """Nonzero invariant factors of a dense matrix, reducing it in place.
 
     Elementary row/column operations with a minimal-absolute-value
-    pivot.  ``basis``, when given, is a list of ``ncols`` column
-    vectors that undergoes every column operation, so starting from the
-    identity it ends as V with U·m·V diagonal.
+    pivot.  ``basis`` holds one vector per column of ``m`` and undergoes
+    every column operation, so starting from the identity it ends as V
+    with U·m·V diagonal.
     """
     nrows = len(m)
+    ncols = len(basis)
     invariants: list[int] = []
 
     def swap_columns(a: int, b: int):
         for row in m:
             row[a], row[b] = row[b], row[a]
-        if basis is not None:
-            basis[a], basis[b] = basis[b], basis[a]
+        basis[a], basis[b] = basis[b], basis[a]
 
     r = 0
     while r < nrows and r < ncols:
@@ -167,8 +150,7 @@ def _dense_smith(
                 if q:
                     for i in range(r, nrows):
                         m[i][j] -= q * m[i][r]
-                    if basis is not None:
-                        basis[j] = [a - q * b for a, b in zip(basis[j], basis[r])]
+                    basis[j] = [a - q * b for a, b in zip(basis[j], basis[r])]
                 if m[r][j] != 0:
                     swap_columns(r, j)
                     dirty = True
@@ -223,26 +205,6 @@ class AbelianInvariants:
         return " ⊕ ".join(parts) if parts else "trivial"
 
 
-def relator_exponent_matrix(p: GroupPresentation) -> list[list[int]]:
-    n = p.generator_count
-    rows = []
-    for r in p.relators:
-        row = [0] * n
-        for x in r:
-            row[abs(x) - 1] += 1 if x > 0 else -1
-        rows.append(row)
-    return rows
-
-
-def abelianization(p: GroupPresentation) -> AbelianInvariants:
-    """Invariant factors of the abelianized group, via Smith normal form."""
-    inv = smith_invariants(relator_exponent_matrix(p), p.generator_count)
-    return AbelianInvariants(
-        free_rank=p.generator_count - len(inv),
-        torsion=tuple(d for d in inv if d > 1),
-    )
-
-
 # -- Reidemeister-Schreier --------------------------------------------------
 
 
@@ -256,7 +218,7 @@ def _homology(
     """
     pivots, rest, columns = _split_unit_pivots(rows)
     basis = [[int(i == k) for k in range(len(columns))] for i in range(len(columns))]
-    factors = _dense_smith(rest, len(columns), basis)
+    factors = _dense_smith(rest, basis)
     group = AbelianInvariants(
         free_rank=ncols - len(pivots) - len(factors),
         torsion=tuple(t for t in factors if t > 1),
@@ -368,20 +330,27 @@ def shift_action(p: GroupPresentation, d: int) -> list[list[int]]:
     return [[(i + 1) % d for i in range(d)]] * p.generator_count
 
 
-def kernel_h1(
-    p: GroupPresentation, d: int
-) -> tuple[AbelianInvariants, list[tuple[int, ...]] | None, list[list[int]]]:
+def kernel_h1(p: GroupPresentation, d: int) -> AbelianInvariants:
     """H1 of the kernel K of G -> Z/d that sends every generator to 1.
 
     The map must exist: every relator's exponent sum is 0 mod d.  The
     Reidemeister-Schreier presentation of K on the d cosets
     (Magnus-Karrass-Solitar, section 2.3) goes through ``_homology``.
-    Returns ``(H1(K), images, column)``: the Schreier generators' images
-    in H1(K) and their columns, as ``_schreier_rows`` numbers them.
     """
-    rows, ncols, column = _schreier_rows(p.relators, shift_action(p, d))
-    kernel, images = _homology(rows, ncols)
-    return kernel, images, column
+    rows, ncols, _ = _schreier_rows(p.relators, shift_action(p, d))
+    return _homology(rows, ncols)[0]
+
+
+def abelianization(p: GroupPresentation) -> AbelianInvariants:
+    """H1 of the presented group, as ``kernel_h1(p, 1)``.
+
+    On the one coset of G -> Z/1 every generator is a Schreier generator
+    and every relator reads as its exponent-sum row.  A presentation with
+    no generators has no coset action, and its group is trivial.
+    """
+    if not p.generator_count:
+        return AbelianInvariants(0)
+    return kernel_h1(p, 1)
 
 
 def _lift_action(

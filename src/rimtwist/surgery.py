@@ -326,7 +326,7 @@ def cyclic_verdict(
         return Pi1Verdict("finite", table.order, "coset-enumeration"), True
     if not ab_ok:
         return Pi1Verdict("undetermined", None, "abelianization-mismatch"), True
-    if over_k and kernel_h1(group, d)[0].order() != 1:
+    if over_k and kernel_h1(group, d).order() != 1:
         return Pi1Verdict("undetermined", None, "kernel-homology"), True
     return Pi1Verdict("undetermined", None, "budget-exhausted"), False
 

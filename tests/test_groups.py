@@ -19,7 +19,6 @@ from rimtwist.groups import (
     low_index_actions,
     reduced_knot_presentation,
     shift_action,
-    smith_invariants,
 )
 from rimtwist.wirtinger import drop_redundant_crossing_relators
 from rimtwist.words import total_exponent
@@ -55,12 +54,30 @@ def _snf_oracle(mat, ncols):
     return invariants
 
 
+def _smith(mat, ncols):
+    """H1 of Z^ncols modulo the rows of a dense matrix, by ``_homology``."""
+    return _homology([{j: v for j, v in enumerate(row) if v} for row in mat], ncols)[0]
+
+
+def _from_factors(factors, ncols):
+    """The group that nonzero invariant factors of a matrix with ncols columns present."""
+    return AbelianInvariants(ncols - len(factors), tuple(t for t in factors if t > 1))
+
+
+def _sympy_factors(mat):
+    """Nonzero invariant factors of an integer matrix, by sympy's Smith normal form."""
+    import sympy
+    from sympy.matrices.normalforms import invariant_factors
+
+    return [abs(int(v)) for v in invariant_factors(sympy.Matrix(mat), domain=sympy.ZZ) if v != 0]
+
+
 def test_smith_known_matrices():
-    assert smith_invariants([[5]], 1) == [5]
-    assert smith_invariants([[2, 0], [0, 3]], 2) == [1, 6]
-    assert smith_invariants([[0, 0], [0, 0]], 2) == []
-    assert smith_invariants([[2, 4], [4, 8]], 2) == [2]
-    assert smith_invariants([[1, 0], [0, 1]], 2) == [1, 1]
+    assert _smith([[5]], 1) == _from_factors([5], 1)
+    assert _smith([[2, 0], [0, 3]], 2) == _from_factors([1, 6], 2)
+    assert _smith([[0, 0], [0, 0]], 2) == _from_factors([], 2)
+    assert _smith([[2, 4], [4, 8]], 2) == _from_factors([2], 2)
+    assert _smith([[1, 0], [0, 1]], 2) == _from_factors([1, 1], 2)
 
 
 def test_smith_against_minor_gcd_oracle():
@@ -69,16 +86,11 @@ def test_smith_against_minor_gcd_oracle():
         nrows = rng.randint(1, 4)
         ncols = rng.randint(1, 4)
         mat = [[rng.randint(-5, 5) for _ in range(ncols)] for _ in range(nrows)]
-        got = smith_invariants(mat, ncols)
-        assert got == _snf_oracle(mat, ncols), mat
-        for a, b in zip(got, got[1:]):
-            assert b % a == 0
+        assert _smith(mat, ncols) == _from_factors(_snf_oracle(mat, ncols), ncols), mat
 
 
 def test_smith_against_sympy_oracle():
-    sympy = pytest.importorskip("sympy")
-    from sympy.matrices.normalforms import invariant_factors
-
+    pytest.importorskip("sympy")
     rng = random.Random(53)
     for i in range(60):
         nrows = rng.randint(1, 7)
@@ -87,12 +99,7 @@ def test_smith_against_sympy_oracle():
         if i % 3 == 0 and nrows > 1:
             # singular: one row a combination of two others
             mat[-1] = [2 * x - 3 * y for x, y in zip(mat[0], mat[-2])]
-        expected = [
-            abs(int(v))
-            for v in invariant_factors(sympy.Matrix(mat), domain=sympy.ZZ)
-            if v != 0
-        ]
-        assert smith_invariants(mat, ncols) == expected, mat
+        assert _smith(mat, ncols) == _from_factors(_sympy_factors(mat), ncols), mat
     # Reidemeister-Schreier-shaped: sparse rows of mostly +/-1 entries, with
     # zero rows and columns no row touches, so the unit-pivot phase does
     # most of the work and leaves fill-in to the dense loop
@@ -104,25 +111,20 @@ def test_smith_against_sympy_oracle():
         for row in mat:
             for j in rng.sample(touched, min(len(touched), rng.randint(0, 4))):
                 row[j] = rng.choice((1, -1, 1, -1, 1, -1, 2, -2, 3))
-        expected = [
-            abs(int(v))
-            for v in invariant_factors(sympy.Matrix(mat), domain=sympy.ZZ)
-            if v != 0
-        ]
-        assert smith_invariants(mat, ncols) == expected, mat
+        assert _smith(mat, ncols) == _from_factors(_sympy_factors(mat), ncols), mat
 
 
 def test_smith_shuffle_invariance():
     rng = random.Random(43)
     base = [[rng.randint(-6, 6) for _ in range(4)] for _ in range(3)]
-    reference = smith_invariants(base, 4)
+    reference = _smith(base, 4)
     for _ in range(20):
         rows = base[:]
         rng.shuffle(rows)
         cols = list(range(4))
         rng.shuffle(cols)
         shuffled = [[row[c] for c in cols] for row in rows]
-        assert smith_invariants(shuffled, 4) == reference
+        assert _smith(shuffled, 4) == reference
 
 
 def test_abelianization_examples():
@@ -132,6 +134,20 @@ def test_abelianization_examples():
     assert rt.abelianization(cyclic) == AbelianInvariants(0, (5,))
     free = GroupPresentation(("g",), (), 1)
     assert rt.abelianization(free) == AbelianInvariants(1, ())
+    # no generators: no coset action to read relators on, and a trivial group
+    for relators in ((), ((),)):
+        assert rt.abelianization(GroupPresentation((), relators)) == AbelianInvariants(0, ())
+    mixed = GroupPresentation(("a", "b"), ((1, 1, 1, -2, -2),), 1)
+    assert rt.abelianization(mixed) == AbelianInvariants(1, ())
+    # powers of one letter take the one-row-per-orbit reading of ``_schreier_rows``
+    powers = GroupPresentation(("a",), ((1,) * 6, (1,) * 4), 1)
+    assert rt.abelianization(powers) == AbelianInvariants(0, (2,))
+
+
+def test_every_exported_name_resolves():
+    namespace = {}
+    exec("from rimtwist import *", namespace)
+    assert set(rt.__all__) <= set(namespace)
 
 
 def test_abelian_invariants_validation():
@@ -528,8 +544,7 @@ def _sympy_kernel_h1(p, d):
         for symbol, e in r.array_form:
             row[column[symbol]] += e
         rows.append(row)
-    factors = smith_invariants(rows, len(gens))
-    return AbelianInvariants(len(gens) - len(factors), tuple(t for t in factors if t > 1))
+    return _from_factors(_sympy_factors(rows), len(gens))
 
 
 def test_kernel_homology_against_sympy_oracle():
@@ -538,7 +553,7 @@ def test_kernel_homology_against_sympy_oracle():
     for text, d, m in cases:
         p = reduced_knot_presentation(rt.presentation_of_knot(rt.parse_knot(text)))
         group = rt.twist_rim_presentation(p, d, m)
-        assert groups.kernel_h1(group, d)[0] == _sympy_kernel_h1(group, d), (text, d, m)
+        assert groups.kernel_h1(group, d) == _sympy_kernel_h1(group, d), (text, d, m)
 
 
 def test_homology_images_satisfy_the_relations():
@@ -763,11 +778,13 @@ def _kernel_homology(p, d):
     """
     if any(total_exponent(r) % d for r in p.relators):
         return []
-    kernel, images, column = groups.kernel_h1(p, d)
+    shift = shift_action(p, d)
+    rows, ncols, column = _schreier_rows(p.relators, shift)
+    kernel, images = _homology(rows, ncols)
     order = kernel.order()
     if order is None or order == 1 or d * order > 200:
         return [kernel]
-    action = groups._lift_action(shift_action(p, d), column, images, kernel.torsion)
+    action = groups._lift_action(shift, column, images, kernel.torsion)
     rows, ncols, _ = _schreier_rows(p.relators, action)
     return [kernel, _homology(rows, ncols)[0]]
 
@@ -801,9 +818,10 @@ def test_cover_tower_rejects_a_wrong_action():
     # the trefoil at d = 8: H1(K) = Z/3, and K's cover of index 3 comes from
     # the images of K's Schreier generators in it
     group = _trefoil_quotient(8)
-    kernel, images, column = groups.kernel_h1(group, 8)
-    assert kernel == AbelianInvariants(0, (3,))
     shift = shift_action(group, 8)
+    rows, ncols, column = _schreier_rows(group.relators, shift)
+    kernel, images = _homology(rows, ncols)
+    assert kernel == AbelianInvariants(0, (3,))
     lifted = groups._lift_action(shift, column, images, (3,))
     assert len(lifted[0]) == 24
     for r in group.relators:
