@@ -4,21 +4,22 @@ The free derivative of a relator word is abelianized on the fly
 (every generator maps to t), rows of derivatives form the Alexander
 matrix, built once by ``reduced_alexander_blocks``, and the polynomial
 is the determinant of its square reduction, computed by fraction-free
-elimination over Z[t, t^-1].
+elimination over Z[t, t^-1].  The matrix is taken on
+``groups.reduced_knot_presentation``, the presentation that the pi1
+verdict and the cover structure read too: Tietze moves shrink the
+Wirtinger presentation of a braid closure to about one generator per
+strand, so T(4,9) gives one 4 x 4 block where its Wirtinger
+presentation gives 26 x 26.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .groups import abelianization
+from .groups import abelianization, reduced_knot_presentation
 from .knots import KnotExpr, KnotSemanticError
 from .laurent import LaurentPoly, laurent_det
-from .wirtinger import (
-    GroupPresentation,
-    drop_redundant_crossing_relators,
-    presentation_of_knot,
-)
+from .wirtinger import GroupPresentation, presentation_of_knot
 from .words import Word, total_exponent
 
 
@@ -158,10 +159,12 @@ def alexander_polynomial(p: GroupPresentation) -> LaurentPoly:
     """Alexander polynomial of a knot-group presentation, normalized.
 
     The product of the determinants of the reduced Alexander blocks, which
-    delete the meridian's column, of ``p`` without the redundant crossing
-    relator of each diagram.
+    delete the meridian's column, of ``reduced_knot_presentation(p)``:
+    ``p`` without the redundant crossing relator of each diagram, then
+    Tietze-simplified.  Both steps keep the group and the meridian, so
+    the polynomial is that of the blocks of ``p`` itself.
     """
-    blocks, _ = reduced_alexander_blocks(drop_redundant_crossing_relators(p))
+    blocks, _ = reduced_alexander_blocks(reduced_knot_presentation(p))
     det = LaurentPoly.one()
     for block in blocks:
         det = det * laurent_det(block)

@@ -851,75 +851,78 @@ def todd_coxeter(p: GroupPresentation, budget: int = DEFAULT_COSET_BUDGET) -> Co
 # -- Tietze simplification ------------------------------------------------
 
 
-def _renumber(w: Word, gone: int) -> Word:
-    out = []
+def _letters(w: Word) -> dict[int, int]:
+    """Occurrences of each generator in ``w``; on words this short a loop
+    beats ``collections.Counter``'s set-up."""
+    counts: dict[int, int] = {}
     for x in w:
-        a = abs(x)
-        if a > gone:
-            a -= 1
-        out.append(a if x > 0 else -a)
-    return tuple(out)
+        g = abs(x)
+        counts[g] = counts.get(g, 0) + 1
+    return counts
 
 
 def tietze_simplify(p: GroupPresentation) -> GroupPresentation:
     """Shrink a presentation without changing the group.
 
     Free/cyclic reduction, duplicate-relator removal, and elimination
-    of generators isolated (single occurrence) in some relator.  An
-    elimination is applied only if it does not increase the total
-    relator length, so generator count, relator count, and total length
-    never exceed the input's.  The distinguished meridian is never
-    eliminated.  Passes repeat until one changes nothing; every changing
-    pass removes a relator or a generator, so the loop terminates.
-    """
-    gens = list(p.generators)
-    meridian = p.meridian
-    relators = [cyclic_reduce(r) for r in p.relators]
-    changed = True
-    while changed:
-        changed = False
-        # duplicate and empty relator removal (up to rotation and inversion)
-        seen: set[Word] = set()
-        kept: list[Word] = []
-        for r in relators:
-            if not r:
-                changed = True
-                continue
-            key = canonical_cyclic(r)
-            if key in seen:
-                changed = True
-                continue
-            seen.add(key)
-            kept.append(r)
-        relators = kept
+    of generators isolated (single occurrence) in some relator.  Each
+    pass drops empty and repeated relators (up to rotation and
+    inversion), then tries the eliminations in order of (relator
+    length, relator index, generator) and applies the first that does
+    not increase the total relator length, so generator count, relator
+    count, and total length never exceed the input's.  The
+    distinguished meridian is never eliminated.  Passes repeat until
+    one eliminates nothing; each of the others removes a generator, so
+    the loop terminates.
 
-        total = sum(len(r) for r in relators)
-        candidates: list[tuple[int, int, int]] = []
-        for ri, r in enumerate(relators):
-            for g in {abs(x) for x in r}:
-                if g == meridian:
-                    continue
-                if sum(1 for x in r if abs(x) == g) == 1:
-                    candidates.append((len(r), ri, g))
-        candidates.sort()
-        for _, ri, g in candidates:
-            r = relators[ri]
-            pos = next(i for i, x in enumerate(r) if abs(x) == g)
+    An elimination rewrites only the relators that hold the generator;
+    the others keep their letter counts and canonical keys, and the
+    surviving generators are renumbered once, at the end.
+    """
+    meridian = p.meridian
+    # one [word, letters per generator, canonical key once computed] per relator
+    rels = [[w, _letters(w), None] for w in map(cyclic_reduce, p.relators)]
+    gone: set[int] = set()
+    while True:
+        seen: set[Word] = set()
+        kept = []
+        for rel in rels:
+            if not rel[0]:
+                continue
+            if rel[2] is None:
+                rel[2] = canonical_cyclic(rel[0])
+            if rel[2] not in seen:
+                seen.add(rel[2])
+                kept.append(rel)
+        rels = kept
+        candidates = sorted(
+            (len(w), ri, g)
+            for ri, (w, letters, _) in enumerate(rels)
+            for g, n in letters.items()
+            if n == 1 and g != meridian
+        )
+        for size, ri, g in candidates:
+            r = rels[ri][0]
+            pos = r.index(g) if g in r else r.index(-g)
             rot = r[pos + 1 :] + r[:pos]
             image = invert(rot) if r[pos] > 0 else rot
-            new_relators = [
-                cyclic_reduce(substitute(r2, g, image))
-                for rj, r2 in enumerate(relators)
-                if rj != ri
-            ]
-            if sum(len(w) for w in new_relators) <= total:
-                relators = [_renumber(w, g) for w in new_relators]
-                gens.pop(g - 1)
-                if meridian > g:
-                    meridian -= 1
-                changed = True
+            holders = [rj for rj, rel in enumerate(rels) if g in rel[1] and rj != ri]
+            words = [cyclic_reduce(substitute(rels[rj][0], g, image)) for rj in holders]
+            if sum(map(len, words)) - sum(len(rels[rj][0]) for rj in holders) <= size:
+                for rj, w in zip(holders, words):
+                    rels[rj] = [w, _letters(w), None]
+                del rels[ri]
+                gone.add(g)
                 break
-    return GroupPresentation(tuple(gens), tuple(relators), meridian)
+        else:
+            break
+    kept_gens = [g for g in range(1, p.generator_count + 1) if g not in gone]
+    index = {g: k for k, g in enumerate(kept_gens, 1)}
+    return GroupPresentation(
+        tuple(p.generators[g - 1] for g in kept_gens),
+        tuple(tuple(index[x] if x > 0 else -index[-x] for x in rel[0]) for rel in rels),
+        meridian - sum(1 for g in gone if g < meridian),
+    )
 
 
 def reduced_knot_presentation(p: GroupPresentation) -> GroupPresentation:

@@ -115,18 +115,6 @@ class LaurentPoly:
                     out[i + j] += ca * cb
         return LaurentPoly(self.min_exp + other.min_exp, out)
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers only defined for units")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def scale(self, c: int) -> "LaurentPoly":
         return LaurentPoly(self.min_exp, tuple(c * x for x in self.coeffs))
 

@@ -18,6 +18,37 @@ SMALL_CORPUS = [
     ("3_1#mirror(3_1)", TREFOIL_SUM),
 ]
 
+# the knots of the cover-large-d benchmark's order and structure pools
+COVER_POOL_KNOTS = [
+    "T(2,3)",
+    "braid(3; 1 -2 1 -2)",
+    "T(2,5)",
+    "T(3,4)",
+    "T(3,5)",
+    "T(2,9)",
+    "T(3,7)",
+    "T(4,5)",
+    "T(4,7)",
+    "T(5,6)",
+    "T(3,11)",
+    "T(5,7)",
+    "T(3,13)",
+    "T(4,9)",
+    "T(2,3)#braid(3; 1 -2 1 -2)",
+    "T(3,4)#mirror(T(2,5))",
+    "T(3,5)#mirror(T(3,5))",
+    "T(4,5)#T(2,7)",
+    "mirror(T(2,3))",
+    "mirror(T(2,5))",
+    "T(2,3)#T(2,3)",
+    "T(2,3)#mirror(T(2,3))",
+    "mirror(T(2,3))#mirror(T(2,3))",
+    "braid(3; 1 -2 1 -2)#T(2,3)",
+    "braid(3; 1 -2 1 -2)#mirror(T(2,3))",
+]
+# inputs of the Alexander and Tietze oracle tests beyond the pools
+ORACLE_EXTRA_KNOTS = ["T(7,11)", "T(2,3)#unknot", "unknot#T(2,3)"]
+
 
 def random_knot_braids(seed, count, max_len=8, max_strands=4):
     """Braids with single-component closure, at most max_len crossings."""

@@ -7,7 +7,16 @@ import rimtwist as rt
 from rimtwist import LaurentPoly, fox_derivative, poly_text
 from rimtwist.alexander import reduced_alexander_blocks
 from rimtwist.wirtinger import drop_redundant_crossing_relators
-from helpers import FIGURE_EIGHT, SMALL_CORPUS, TREFOIL, TREFOIL_SUM, random_knot_braids, random_knot_exprs
+from helpers import (
+    COVER_POOL_KNOTS,
+    FIGURE_EIGHT,
+    ORACLE_EXTRA_KNOTS,
+    SMALL_CORPUS,
+    TREFOIL,
+    TREFOIL_SUM,
+    random_knot_braids,
+    random_knot_exprs,
+)
 
 
 def _fox_oracle(word, gen):
@@ -28,6 +37,15 @@ def _fox_oracle(word, gen):
     for e, c in dv.items():
         out[e + shift] = out.get(e + shift, 0) + c
     return {e: c for e, c in out.items() if c}
+
+
+def _alexander_oracle(p):
+    """The Fox blocks of ``p`` without its redundant crossing relators, unreduced."""
+    blocks, _ = reduced_alexander_blocks(drop_redundant_crossing_relators(p))
+    det = LaurentPoly.one()
+    for block in blocks:
+        det = det * rt.laurent_det(block)
+    return det.normalize()
 
 
 def _as_dict(p):
@@ -155,12 +173,27 @@ def test_meridian_choice_on_connected_sums():
         p = rt.presentation_of_knot(knot)
         reference = rt.alexander_polynomial(p)
         for meridian in range(2, p.generator_count + 1):
-            got = rt.alexander_polynomial(dataclasses.replace(p, meridian=meridian))
+            q = dataclasses.replace(p, meridian=meridian)
+            got = rt.alexander_polynomial(q)
             assert got.unit_equal(reference), (rt.render(knot), meridian)
+            assert got == _alexander_oracle(q), (rt.render(knot), meridian)
     mixed = rt.presentation_of_knot(rt.parse_knot("mirror(mirror(T(2,5)))#unknot#braid(2; 1)"))
     for meridian in (2, 3, 4):
         got = rt.alexander_polynomial(dataclasses.replace(mixed, meridian=meridian))
         assert poly_text(got) == "t^4 - t^3 + t^2 - t + 1"
+
+
+def test_alexander_matches_the_unreduced_route():
+    # the Tietze-reduced presentation gives the polynomial of the Wirtinger
+    # blocks, at every meridian of a connected sum
+    knots = [k for _, k in SMALL_CORPUS] + [rt.parse_knot(s) for s in COVER_POOL_KNOTS + ORACLE_EXTRA_KNOTS]
+    for knot in knots:
+        p = rt.presentation_of_knot(knot)
+        meridians = range(1, p.generator_count + 1) if isinstance(knot, rt.ConnectedSum) else (p.meridian,)
+        for meridian in meridians:
+            q = dataclasses.replace(p, meridian=meridian)
+            assert rt.alexander_polynomial(q) == _alexander_oracle(q), (rt.render(knot), meridian)
+    assert rt.alexander_of_knot(rt.parse_knot("T(11,13)")) == rt.torus_alexander(11, 13)
 
 
 def test_alexander_at_one_is_unit():

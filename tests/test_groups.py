@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 from collections import deque
@@ -21,8 +22,8 @@ from rimtwist.groups import (
     shift_action,
 )
 from rimtwist.wirtinger import drop_redundant_crossing_relators
-from rimtwist.words import total_exponent
-from helpers import FIGURE_EIGHT, SMALL_CORPUS, TREFOIL
+from rimtwist.words import Word, canonical_cyclic, cyclic_reduce, invert, substitute, total_exponent
+from helpers import COVER_POOL_KNOTS, FIGURE_EIGHT, ORACLE_EXTRA_KNOTS, SMALL_CORPUS, TREFOIL
 
 
 def _det_cofactor(m):
@@ -455,6 +456,119 @@ def test_tietze_runs_to_a_fixpoint_on_large_presentations():
     s = rt.tietze_simplify(p)
     assert s.generator_count == 13
     assert rt.abelianization(s) == AbelianInvariants(1, ())
+
+
+# the oracle of tietze_simplify: the same moves, rewriting and renumbering
+# every relator on each elimination
+def _renumber(w: Word, gone: int) -> Word:
+    out = []
+    for x in w:
+        a = abs(x)
+        if a > gone:
+            a -= 1
+        out.append(a if x > 0 else -a)
+    return tuple(out)
+
+
+def _tietze_reference(p: GroupPresentation) -> GroupPresentation:
+    """Shrink a presentation without changing the group.
+
+    Free/cyclic reduction, duplicate-relator removal, and elimination
+    of generators isolated (single occurrence) in some relator.  An
+    elimination is applied only if it does not increase the total
+    relator length, so generator count, relator count, and total length
+    never exceed the input's.  The distinguished meridian is never
+    eliminated.  Passes repeat until one changes nothing; every changing
+    pass removes a relator or a generator, so the loop terminates.
+    """
+    gens = list(p.generators)
+    meridian = p.meridian
+    relators = [cyclic_reduce(r) for r in p.relators]
+    changed = True
+    while changed:
+        changed = False
+        # duplicate and empty relator removal (up to rotation and inversion)
+        seen: set[Word] = set()
+        kept: list[Word] = []
+        for r in relators:
+            if not r:
+                changed = True
+                continue
+            key = canonical_cyclic(r)
+            if key in seen:
+                changed = True
+                continue
+            seen.add(key)
+            kept.append(r)
+        relators = kept
+
+        total = sum(len(r) for r in relators)
+        candidates: list[tuple[int, int, int]] = []
+        for ri, r in enumerate(relators):
+            for g in {abs(x) for x in r}:
+                if g == meridian:
+                    continue
+                if sum(1 for x in r if abs(x) == g) == 1:
+                    candidates.append((len(r), ri, g))
+        candidates.sort()
+        for _, ri, g in candidates:
+            r = relators[ri]
+            pos = next(i for i, x in enumerate(r) if abs(x) == g)
+            rot = r[pos + 1 :] + r[:pos]
+            image = invert(rot) if r[pos] > 0 else rot
+            new_relators = [
+                cyclic_reduce(substitute(r2, g, image))
+                for rj, r2 in enumerate(relators)
+                if rj != ri
+            ]
+            if sum(len(w) for w in new_relators) <= total:
+                relators = [_renumber(w, g) for w in new_relators]
+                gens.pop(g - 1)
+                if meridian > g:
+                    meridian -= 1
+                changed = True
+                break
+    return GroupPresentation(tuple(gens), tuple(relators), meridian)
+
+
+def _random_presentations(seed, count):
+    """Presentations on 0-4 generators, with empty and repeated relators among them."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(0, 4)
+        relators = []
+        for _ in range(rng.randint(0, 5)):
+            if relators and rng.random() < 0.2:
+                # a rotated inverse of an earlier relator, or a copy of it
+                r = rng.choice(relators)
+                k = rng.randint(0, len(r))
+                relators.append(invert(r[k:] + r[:k]) if rng.random() < 0.5 else r)
+                continue
+            length = rng.randint(0, 8) if n else 0
+            relators.append(tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(length)))
+        gens = tuple(f"x{i}" for i in range(1, n + 1))
+        out.append(GroupPresentation(gens, tuple(relators), rng.randint(1, n) if n else 1))
+    return out
+
+
+def test_tietze_matches_reference():
+    # the Wirtinger and crossing-dropped presentations at meridians 1-6, the
+    # twist-rim groups of the crossing-dropped ones at meridian 1, and
+    # random presentations: the same generators, relators and meridian
+    inputs = []
+    knots = [k for _, k in SMALL_CORPUS] + [rt.parse_knot(s) for s in COVER_POOL_KNOTS + ORACLE_EXTRA_KNOTS]
+    for knot in knots:
+        p = rt.presentation_of_knot(knot)
+        q = drop_redundant_crossing_relators(p)
+        for form in (p, q):
+            inputs += [dataclasses.replace(form, meridian=k) for k in range(1, min(6, form.generator_count) + 1)]
+        inputs += [rt.twist_rim_presentation(q, d, m) for d in (2, 3, 5) for m in (0, 1, 2, 7)]
+    inputs += _random_presentations(23, 1500)
+    assert any(p.generator_count == 0 for p in inputs)
+    assert any(() in p.relators for p in inputs)
+    for p in inputs:
+        assert rt.tietze_simplify(p) == _tietze_reference(p), p
 
 
 def test_tietze_preserves_enumerated_order():
