@@ -1,15 +1,17 @@
 """Fox free differential calculus and Alexander polynomials.
 
 The free derivative of a relator word is abelianized on the fly
-(every generator maps to t), rows of derivatives form the Alexander
-matrix, built once by ``reduced_alexander_blocks``, and the polynomial
-is the determinant of its square reduction, computed by fraction-free
-elimination over Z[t, t^-1].  The matrix is taken on
+(every generator maps to t).  ``reduced_alexander_blocks`` lays the
+derivatives out as the Alexander matrix without the meridian column and
+splits it into square column-connected blocks, and the polynomial is
+the product of their determinants, each by fraction-free elimination
+over Z[t, t^-1].  The matrix is taken on
 ``groups.reduced_knot_presentation``, the presentation that the pi1
 verdict and the cover structure read too: Tietze moves shrink the
 Wirtinger presentation of a braid closure to about one generator per
 strand, so T(4,9) gives one 4 x 4 block where its Wirtinger
-presentation gives 26 x 26.
+presentation gives 26 x 26, and they leave no zero row and no row that
+is a lone unit to strip first.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from math import gcd
 from .groups import abelianization, reduced_knot_presentation
 from .knots import KnotExpr, KnotSemanticError
 from .laurent import LaurentPoly, laurent_det
-from .wirtinger import GroupPresentation, presentation_of_knot
+from .wirtinger import GroupPresentation, _ArcUnion, presentation_of_knot
 from .words import Word, total_exponent
 
 
@@ -77,82 +79,48 @@ def reduced_alexander_blocks(
     presentation, so g_i -> t is the abelianization onto Z.
 
     Builds the Fox matrix of the presentation (one row per relator, one
-    column per generator) without the meridian column, then repeatedly
-    strips rows whose single nonzero entry is a unit together with their
-    column (the generator they kill), drops freely-trivial rows, and
-    splits what is left into column-connected components.  A
-    deficiency-one presentation of a knot group has a nonsingular square
-    matrix, so each component is a square block presenting a factor's
-    Alexander module; any other shape raises ValueError.
+    column per generator) without the meridian column, drops its zero
+    rows, and splits the rest into column-connected components.  The
+    reduced presentation of a knot group has deficiency one, so each
+    component is a square block presenting a factor's Alexander module;
+    any other shape raises ValueError.  A lone unit in a row, as in a
+    connected sum's meridian identification before Tietze moves, stays
+    in its block: Laplace expansion along that row changes the
+    determinant only by a unit, which ``normalize`` removes.
 
     Returns ``(blocks, free_columns)`` where ``free_columns`` counts
-    generators no surviving relator touches.  It is always 0: H1 = Z
-    makes t - 1 invertible on the Alexander module, so the module has no
-    free summand.
+    generators no relator touches.  It is always 0: H1 = Z makes t - 1
+    invertible on the Alexander module, so the module has no free
+    summand.  The count stays in the return value while
+    ``perfbench/tracing.py`` reads the blocks as its first item.
     """
     require_knot_group(p)
-    kept_cols = [j for j in range(1, p.generator_count + 1) if j != p.meridian]
-    rows = [[fox_derivative(r, j) for j in kept_cols] for r in p.relators]
-
-    live_cols = list(range(len(kept_cols)))
-    # strip unit-singleton rows (and zero rows) until stable
-    changed = True
-    while changed:
-        changed = False
-        next_rows = []
-        kill_col: int | None = None
-        for row in rows:
-            support = [c for c in live_cols if row[c]]
-            if not support:
-                changed = True
-                continue
-            if len(support) == 1 and row[support[0]].is_unit() and kill_col is None:
-                kill_col = support[0]
-                changed = True
-                continue
-            next_rows.append(row)
-        rows = next_rows
-        if kill_col is not None:
-            live_cols.remove(kill_col)
-
-    # split by column-connected components
-    parent = {c: c for c in live_cols}
-
-    def find(c: int) -> int:
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    row_support = []
-    for row in rows:
-        support = [c for c in live_cols if row[c]]
-        row_support.append(support)
-        root = find(support[0])
+    cols = [j for j in range(1, p.generator_count + 1) if j != p.meridian]
+    rows = [[fox_derivative(r, j) for j in cols] for r in p.relators]
+    rows = [row for row in rows if any(row)]
+    supports = [[c for c, x in enumerate(row) if x] for row in rows]
+    components = _ArcUnion()
+    for _ in cols:
+        components.add()
+    for support in supports:
         for c in support[1:]:
-            parent[find(c)] = root
-
+            components.union(support[0], c)
     comp_cols: dict[int, list[int]] = {}
-    for c in live_cols:
-        comp_cols.setdefault(find(c), []).append(c)
-    comp_rows: dict[int, list[int]] = {root: [] for root in comp_cols}
-    for i, support in enumerate(row_support):
-        comp_rows[find(support[0])].append(i)
-
-    free_columns = sum(1 for root, cols in comp_cols.items() if not comp_rows[root])
+    for c in range(len(cols)):
+        comp_cols.setdefault(components.find(c), []).append(c)
+    comp_rows: dict[int, list[list[LaurentPoly]]] = {}
+    for row, support in zip(rows, supports):
+        comp_rows.setdefault(components.find(support[0]), []).append(row)
     blocks: list[list[list[LaurentPoly]]] = []
-    for root in sorted(comp_cols):
-        cols = sorted(comp_cols[root])
-        ridx = comp_rows[root]
-        if not ridx:
-            continue
-        if len(ridx) != len(cols):
+    for root, block_rows in comp_rows.items():
+        block_cols = comp_cols[root]
+        if len(block_rows) != len(block_cols):
             raise ValueError(
                 "presentation does not reduce to square Alexander blocks "
-                f"({len(ridx)} relators against {len(cols)} generators)"
+                f"({len(block_rows)} relators against {len(block_cols)} generators)"
             )
-        blocks.append([[rows[i][c] for c in cols] for i in ridx])
-    return blocks, free_columns
+        blocks.append([[row[c] for c in block_cols] for row in block_rows])
+    return blocks, len(comp_cols) - len(comp_rows)
 
 
 def alexander_polynomial(p: GroupPresentation) -> LaurentPoly:
@@ -168,8 +136,6 @@ def alexander_polynomial(p: GroupPresentation) -> LaurentPoly:
     det = LaurentPoly.one()
     for block in blocks:
         det = det * laurent_det(block)
-        if not det:
-            break
     return det.normalize()
 
 

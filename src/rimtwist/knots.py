@@ -47,17 +47,14 @@ class TorusKnot:
     q: int
 
     def __post_init__(self):
+        name = f"T({self.p},{self.q})"
         p, q = sorted((self.p, self.q))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         if p < 2:
-            raise KnotSemanticError(
-                f"T({self.p},{self.q}) needs both parameters >= 2 (T(1,q) is the unknot)"
-            )
-        if gcd(self.p, self.q) != 1:
-            raise KnotSemanticError(
-                f"T({self.p},{self.q}) is not a knot (gcd={gcd(self.p, self.q)})"
-            )
+            raise KnotSemanticError(f"{name} needs both parameters >= 2 (T(1,q) is the unknot)")
+        if gcd(p, q) != 1:
+            raise KnotSemanticError(f"{name} is not a knot (gcd={gcd(p, q)})")
 
 
 @dataclass(frozen=True)

@@ -60,10 +60,6 @@ class LaurentPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def is_unit(self) -> bool:
-        """True for +-t^k, the units of Z[t, t^-1]."""
-        return len(self.coeffs) == 1 and abs(self.coeffs[0]) == 1
-
     @property
     def max_exp(self) -> int:
         if not self.coeffs:

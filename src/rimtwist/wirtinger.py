@@ -27,7 +27,7 @@ from .knots import (
     mirror_pd,
     torus_braid,
 )
-from .words import Word, free_reduce
+from .words import Word
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ def _default_names(n: int) -> tuple[str, ...]:
 
 
 class _ArcUnion:
-    """Union-find over arc ids; classes become the final generators."""
+    """Union-find over small integer ids: Wirtinger arcs, or Fox matrix columns."""
 
     def __init__(self):
         self.parent: list[int] = []
@@ -286,11 +286,6 @@ def mirror_expr(expr: KnotExpr) -> KnotExpr:
 def _is_crossing_relator(r: Word) -> bool:
     """True for a crossing relator x y x^-1 z^-1: the outgoing arc z is x y x^-1."""
     return len(r) == 4 and r[2] == -r[0] and r[1] > 0 and r[3] < 0
-
-
-def is_wirtinger_shaped(p: GroupPresentation) -> bool:
-    """True if every relator is a crossing relator x y x^-1 z^-1 (or freely trivial)."""
-    return all(_is_crossing_relator(r) or not free_reduce(r) for r in p.relators)
 
 
 def drop_redundant_crossing_relators(p: GroupPresentation) -> GroupPresentation:

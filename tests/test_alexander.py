@@ -6,6 +6,7 @@ import pytest
 import rimtwist as rt
 from rimtwist import LaurentPoly, fox_derivative, poly_text
 from rimtwist.alexander import reduced_alexander_blocks
+from rimtwist.groups import reduced_knot_presentation
 from rimtwist.wirtinger import drop_redundant_crossing_relators
 from helpers import (
     COVER_POOL_KNOTS,
@@ -139,11 +140,32 @@ def test_choice_independence_exhaustive_small_knots():
 
 
 def test_connected_sum_blocks():
+    # without Tietze moves the meridian-identification row, a lone unit,
+    # stays in the second summand's block; with them each summand is 1 x 1
     p = rt.presentation_of_knot(TREFOIL_SUM)
     blocks, free_cols = reduced_alexander_blocks(drop_redundant_crossing_relators(p))
     assert free_cols == 0
-    assert sorted(len(b) for b in blocks) == [2, 2]
+    assert sorted(len(b) for b in blocks) == [2, 3]
+    blocks, free_cols = reduced_alexander_blocks(reduced_knot_presentation(p))
+    assert free_cols == 0
+    assert sorted(len(b) for b in blocks) == [1, 1]
     assert poly_text(rt.alexander_polynomial(p)) == "t^4 - 2t^3 + 3t^2 - 2t + 1"
+
+
+def test_reduced_presentations_leave_no_zero_or_unit_row():
+    # the blocks take every Fox row of the reduced presentation as it is;
+    # a Tietze change that left a zero row or a lone unit would grow them
+    knots = [k for _, k in SMALL_CORPUS] + [rt.parse_knot(s) for s in COVER_POOL_KNOTS + ORACLE_EXTRA_KNOTS]
+    for knot in knots:
+        p = rt.presentation_of_knot(knot)
+        for meridian in range(1, min(p.generator_count, 6) + 1):
+            q = reduced_knot_presentation(dataclasses.replace(p, meridian=meridian))
+            for r in q.relators:
+                row = [fox_derivative(r, j) for j in range(1, q.generator_count + 1) if j != q.meridian]
+                support = [x for x in row if x]
+                assert support, (rt.render(knot), meridian, r)
+                units = ((1,), (-1,))
+                assert len(support) > 1 or support[0].coeffs not in units, (rt.render(knot), meridian, r)
 
 
 def test_no_free_columns_on_knot_groups():

@@ -54,6 +54,13 @@ def test_torus_knot_is_canonical():
         TorusKnot(6, 3)
 
 
+def test_torus_errors_name_the_knot_as_typed():
+    with pytest.raises(KnotSemanticError, match=r"^T\(2,-3\) needs both parameters"):
+        TorusKnot(2, -3)
+    with pytest.raises(KnotSemanticError, match=r"^T\(4,2\) is not a knot \(gcd=2\)"):
+        parse_knot("T(4,2)")
+
+
 def test_parse_rejects_links():
     with pytest.raises(KnotSemanticError, match="gcd=2"):
         parse_knot("T(2,4)")

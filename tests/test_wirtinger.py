@@ -35,12 +35,12 @@ def test_unknot_braids():
 
 
 def test_braid_closure_knots_abelianize_to_Z():
-    from rimtwist.wirtinger import is_wirtinger_shaped
+    from rimtwist.wirtinger import _is_crossing_relator
 
     for b in random_knot_braids(seed=5, count=40):
         p = rt.wirtinger_from_braid(b)
         assert len(p.relators) == len(b.word)
-        assert is_wirtinger_shaped(p)
+        assert all(_is_crossing_relator(r) for r in p.relators)
         assert rt.abelianization(p) == rt.AbelianInvariants(1, ())
 
 
