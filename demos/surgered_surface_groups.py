@@ -24,16 +24,16 @@ twisted = rt.twist_rim_presentation(trefoil, 2, 2)
 table = rt.todd_coxeter(twisted)
 print(f"  enumeration completes with order {table.order} (Z/2 would have order 2)")
 print(f"  abelianization: {rt.abelianization(twisted)}")
-verdict, not_cyclic = rt.cyclic_verdict(twisted, 2)
+verdict = rt.cyclic_verdict(twisted, 2)
 print("  so there is a nontrivial index-2 subgroup:")
-print(f"  cyclic_verdict(..., 2) = {verdict}, proven not Z/2: {not_cyclic}")
+print(f"  cyclic_verdict(..., 2) = {verdict}, proven not Z/2: {verdict.proves_not_cyclic}")
 
 print()
 print("=== d = +/-1 mod m: the group collapses to Z/d ===")
 for knot_name, pres in [("trefoil", trefoil), ("figure-eight", fig8)]:
     for d, m in [(3, 2), (5, 4), (7, 6), (7, 8)]:
         q = rt.twist_rim_presentation(pres, d, m)
-        verdict, _ = rt.cyclic_verdict(q, d)
+        verdict = rt.cyclic_verdict(q, d)
         print(f"  {knot_name:13s} d={d} m={m}: {verdict}")
 
 print()

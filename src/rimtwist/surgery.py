@@ -135,23 +135,29 @@ class Pi1Verdict:
     """What is known about the surgered complement's fundamental group.
 
     ``certificate`` names what decided the verdict: ``congruence`` and
-    ``coset-enumeration`` for a cyclic or finite group;
-    ``infinite-cover-homology`` (a free summand in H1 of a subgroup in
-    the tower over the index-d kernel K: K itself, a commutator
-    subgroup or a cyclic cover), ``infinite-subgroup-homology`` (a free
-    summand in H1 of a subgroup in a tower over a point stabilizer of a
-    permutation representation of small degree, or over the kernel of
-    its image), ``kernel-homology`` (a nontrivial H1 of K, read once the
-    budget is exhausted) and ``abelianization-mismatch`` for an
-    undetermined group proven not Z/d; ``budget-exhausted`` for one
-    about which nothing is proven.
-    The proven-not-Z/d certificates keep the kind undetermined, so
-    ``--strict`` exits 3 on them too.
+    ``coset-enumeration`` for a cyclic or finite group; for an
+    undetermined one, ``infinite-cover-homology`` (a free summand in H1
+    of a subgroup in the tower over the index-d kernel K: K itself, a
+    commutator subgroup or a cyclic cover), ``infinite-subgroup-homology``
+    (the same in a tower over a point stabilizer of a permutation
+    representation of small degree, or over the kernel of its image),
+    ``kernel-homology`` (a nontrivial H1 of K, read once the budget is
+    exhausted), ``abelianization-mismatch`` or ``budget-exhausted``.
     """
 
     kind: str  # "cyclic" | "finite" | "undetermined"
     order: int | None
     certificate: str
+
+    @property
+    def proves_not_cyclic(self) -> bool:
+        """Whether the group is proven not Z/d.
+
+        Every verdict but a cyclic one and ``budget-exhausted`` proves it.
+        The undetermined ones among them keep their kind, so ``--strict``
+        exits 3 on them too.
+        """
+        return self.kind != "cyclic" and self.certificate != "budget-exhausted"
 
     def __str__(self) -> str:
         if self.kind == "cyclic":
@@ -266,23 +272,20 @@ class SurgeryReport:
 
 def cyclic_verdict(
     group: GroupPresentation, d: int, budget: int = DEFAULT_COSET_BUDGET
-) -> tuple[Pi1Verdict, bool]:
-    """Whether a presented group is Z/d, plus whether it is proven not to be.
+) -> Pi1Verdict:
+    """Whether a presented group is Z/d.
 
     The checks run in this order:
 
     1. Abelianization against Z/d.
-    2. When d is at most ``budget``, so that the budget bounds the
-       d-coset table of K, and every relator's exponent sum is 0 mod d,
-       ``cover_tower`` over the kernel K of G -> Z/d that sends every
-       generator to 1: K itself, then the commutator subgroup and the
-       cyclic covers of each subgroup it reaches, up to index
-       min(500, budget).  A free summand proves G infinite, so
-       the verdict is undetermined with certificate
-       ``infinite-cover-homology``, proven not Z/d, and enumeration is
-       skipped: enumeration over the trivial subgroup closes only on a
-       finite group, so on an infinite one it could only exhaust its
-       budget, and no verdict is lost.
+    2. When G has a generator (else it has no coset action), every
+       relator's exponent sum is 0 mod d and d <= ``budget`` (which then
+       bounds the d-coset table of K): ``cover_tower`` over the kernel K
+       of G -> Z/d that sends every generator to 1, from K through the
+       commutator subgroups and cyclic covers of each subgroup it
+       reaches, up to index min(500, budget).  A free summand proves G
+       infinite (``infinite-cover-homology``) and skips enumeration,
+       which closes only on a finite group, so no verdict is lost.
     3. Bounded coset enumeration with a tenth of the budget, so that a
        group that closes by then pays for none of the steps below.
     4. When that exhausts, ``cover_tower`` from the transitive
@@ -300,61 +303,64 @@ def cyclic_verdict(
     6. On an exhausted budget: an abelianization other than Z/d gives
        ``abelianization-mismatch``, and where step 2 ran, a nontrivial
        H1(K) gives ``kernel-homology`` (were G = Z/d, K would be
-       trivial), both proven not Z/d.  Otherwise ``budget-exhausted``
-       decides nothing.
-
-    The certificates of steps 2, 4 and 6 keep the kind undetermined,
-    so ``--strict`` still exits 3 on them.
+       trivial).  Otherwise ``budget-exhausted`` decides nothing.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     expected = AbelianInvariants(free_rank=0, torsion=(d,) if d > 1 else ())
     ab_ok = abelianization(group) == expected
-    over_k = d <= budget and all(total_exponent(r) % d == 0 for r in group.relators)
+    over_k = group.generator_count > 0 and d <= budget
+    over_k = over_k and all(total_exponent(r) % d == 0 for r in group.relators)
     if over_k and cover_tower(group, [shift_action(group, d)], budget) is not None:
-        return Pi1Verdict("undetermined", None, "infinite-cover-homology"), True
+        return Pi1Verdict("undetermined", None, "infinite-cover-homology")
     probe = max(1, budget // 10) if d <= budget else budget
     table = todd_coxeter(group, probe)
     if not table.completed and probe < budget:
         actions = low_index_actions(group, min(LOW_INDEX_DEGREE, budget))
         if cover_tower(group, actions, budget) is not None:
-            return Pi1Verdict("undetermined", None, "infinite-subgroup-homology"), True
+            return Pi1Verdict("undetermined", None, "infinite-subgroup-homology")
         table = todd_coxeter(group, budget)
     if table.completed:
         if table.order == d and ab_ok:
-            return Pi1Verdict("cyclic", d, "coset-enumeration"), False
-        return Pi1Verdict("finite", table.order, "coset-enumeration"), True
+            return Pi1Verdict("cyclic", d, "coset-enumeration")
+        return Pi1Verdict("finite", table.order, "coset-enumeration")
     if not ab_ok:
-        return Pi1Verdict("undetermined", None, "abelianization-mismatch"), True
+        return Pi1Verdict("undetermined", None, "abelianization-mismatch")
     if over_k and kernel_h1(group, d).order() != 1:
-        return Pi1Verdict("undetermined", None, "kernel-homology"), True
-    return Pi1Verdict("undetermined", None, "budget-exhausted"), False
+        return Pi1Verdict("undetermined", None, "kernel-homology")
+    return Pi1Verdict("undetermined", None, "budget-exhausted")
 
 
 def determine_pi1(
     p: GroupPresentation, d: int, m: int, budget: int
 ) -> tuple[Pi1Verdict, bool]:
-    """Pi1 verdict plus whether the group is proven different from Z/d.
+    """Pi1 verdict plus its ``proves_not_cyclic``.
 
-    Outside the congruence d = +/-1 mod m, the twist-rim group is built
-    on ``reduced_knot_presentation(p)``, so ``budget`` counts the cosets
-    of a presentation on fewer generators than the Wirtinger one.  When
-    ``p`` presents a knot group (``require_knot_group``), the twist-rim
-    group maps onto Z/d, so its order is at least d; for d > budget no
-    table can close, and the verdict is ``budget-exhausted``, as
-    ``cyclic_verdict`` would find, without building the d-letter
-    relator mu^d.
+    The pair stays only because ``perfbench/tracing.py`` reads
+    ``result[0]``.  Outside the congruence d = +/-1 mod m, the twist-rim
+    group is built on ``reduced_knot_presentation(p)``, so ``budget``
+    counts the cosets of a presentation on fewer generators than the
+    Wirtinger one.  When ``p`` presents a knot group
+    (``require_knot_group``), the twist-rim group maps onto Z/d, so its
+    order is at least d; for d > budget no table can close, and the
+    verdict is ``budget-exhausted``, as ``cyclic_verdict`` would find,
+    without building the d-letter relator mu^d.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    verdict = _pi1_verdict(p, d, m, budget)
+    return verdict, verdict.proves_not_cyclic
+
+
+def _pi1_verdict(p: GroupPresentation, d: int, m: int, budget: int) -> Pi1Verdict:
     if congruent_pm1(d, m):
-        return Pi1Verdict("cyclic", d, "congruence"), False
+        return Pi1Verdict("cyclic", d, "congruence")
     if d > budget:
         with suppress(ValueError):
             require_knot_group(p)
-            return Pi1Verdict("undetermined", None, "budget-exhausted"), False
+            return Pi1Verdict("undetermined", None, "budget-exhausted")
     group = twist_rim_presentation(reduced_knot_presentation(p), d, m)
     return cyclic_verdict(group, d, budget)
 
@@ -369,13 +375,13 @@ def classify(
     """
     d, m = params.d, params.m
     pres = presentation_of_knot(k)
-    pi1, proven_not_cyclic = determine_pi1(pres, d, m, budget)
+    pi1, _ = determine_pi1(pres, d, m, budget)
     delta = alexander_polynomial(pres)
     order = branched_cover_order(delta, d)
     # the double branched cover of a nontrivial knot has nontrivial
     # fundamental group, which embeds with index 2 here
     index_two = d == 2 and m % 2 == 0 and delta != LaurentPoly.one()
-    if proven_not_cyclic or index_two:
+    if pi1.proves_not_cyclic or index_two:
         failed = "pi1-obstruction"
     elif ribbon_certificate(k) != "certified":
         failed = "ribbon-certificate"

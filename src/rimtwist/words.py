@@ -38,25 +38,19 @@ def substitute(w: Sequence[int], gen: int, image: Sequence[int]) -> Word:
     """Replace every occurrence of generator ``gen`` by ``image``.
 
     ``gen`` must be positive; occurrences of ``-gen`` get the inverse
-    image.  The result is freely reduced.
+    image.  The result is the plain substituted word, not reduced.
     """
     if gen <= 0:
         raise ValueError("gen must be a positive generator index")
-    image = tuple(image)
     image_inv = invert(image)
     out: list[int] = []
     for x in w:
         if x == gen:
-            piece: Sequence[int] = image
+            out.extend(image)
         elif x == -gen:
-            piece = image_inv
+            out.extend(image_inv)
         else:
-            piece = (x,)
-        for y in piece:
-            if out and out[-1] == -y:
-                out.pop()
-            else:
-                out.append(y)
+            out.append(x)
     return tuple(out)
 
 

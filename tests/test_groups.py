@@ -580,20 +580,25 @@ def test_tietze_preserves_enumerated_order():
 
 def test_cyclic_verdict():
     fig8 = rt.presentation_of_knot(FIGURE_EIGHT)
-    assert rt.cyclic_verdict(rt.twist_rim_presentation(fig8, 3, 2), 3) == (
-        Pi1Verdict("cyclic", 3, "coset-enumeration"), False
+    assert rt.cyclic_verdict(rt.twist_rim_presentation(fig8, 3, 2), 3) == Pi1Verdict(
+        "cyclic", 3, "coset-enumeration"
     )
 
     tre = rt.presentation_of_knot(TREFOIL)
-    assert rt.cyclic_verdict(rt.twist_rim_presentation(tre, 2, 2), 2) == (
-        Pi1Verdict("finite", 6, "coset-enumeration"), True
+    assert rt.cyclic_verdict(rt.twist_rim_presentation(tre, 2, 2), 2) == Pi1Verdict(
+        "finite", 6, "coset-enumeration"
     )
 
     for d in (1, 2, 5, 12):
         cyclic = GroupPresentation(("g",), ((1,) * d,), 1)
-        assert rt.cyclic_verdict(cyclic, d) == (
-            Pi1Verdict("cyclic", d, "coset-enumeration"), False
-        )
+        assert rt.cyclic_verdict(cyclic, d) == Pi1Verdict("cyclic", d, "coset-enumeration")
+
+    # a group with no generators has no coset action, so no tower over K;
+    # enumeration decides it
+    trivial = GroupPresentation((), (), 1)
+    assert rt.cyclic_verdict(trivial, 1) == Pi1Verdict("cyclic", 1, "coset-enumeration")
+    for d in (2, 5):
+        assert rt.cyclic_verdict(trivial, d) == Pi1Verdict("finite", 1, "coset-enumeration")
 
     # the 2-3-7 triangle group is infinite and perfect, so its abelianization
     # says nothing; the kernel of its map onto PSL(2,7), of order 168, is a
@@ -601,18 +606,18 @@ def test_cyclic_verdict():
     triangle = GroupPresentation(
         ("a", "b"), ((1, 1), (2, 2, 2), (1, 2) * 7), 1
     )
-    assert rt.cyclic_verdict(triangle, 1, budget=500) == (
-        Pi1Verdict("undetermined", None, "infinite-subgroup-homology"), True
+    assert rt.cyclic_verdict(triangle, 1, budget=500) == Pi1Verdict(
+        "undetermined", None, "infinite-subgroup-homology"
     )
     # at budget 100 no image of order 168 is built, but a degree-7 point
     # stabilizer H has H1(H) = Z/2 + Z/2, and a cyclic cover of [H, H], of
     # index 84, has a free H1; below that index the tower reaches no
     # subgroup with one, so exhaustion stays inconclusive
-    assert rt.cyclic_verdict(triangle, 1, budget=100) == (
-        Pi1Verdict("undetermined", None, "infinite-subgroup-homology"), True
+    assert rt.cyclic_verdict(triangle, 1, budget=100) == Pi1Verdict(
+        "undetermined", None, "infinite-subgroup-homology"
     )
-    assert rt.cyclic_verdict(triangle, 1, budget=83) == (
-        Pi1Verdict("undetermined", None, "budget-exhausted"), False
+    assert rt.cyclic_verdict(triangle, 1, budget=83) == Pi1Verdict(
+        "undetermined", None, "budget-exhausted"
     )
     with pytest.raises(ValueError):
         rt.cyclic_verdict(tre, 0)
@@ -622,16 +627,16 @@ def test_cyclic_verdict_abelianization_certificate():
     # abelianization Z/6 can never be Z/5: proven not cyclic even when the
     # budget is too small to enumerate
     cyclic6 = GroupPresentation(("g",), ((1,) * 6,), 1)
-    assert rt.cyclic_verdict(cyclic6, 5, budget=1) == (
-        Pi1Verdict("undetermined", None, "abelianization-mismatch"), True
+    assert rt.cyclic_verdict(cyclic6, 5, budget=1) == Pi1Verdict(
+        "undetermined", None, "abelianization-mismatch"
     )
     # no map sends g to 1 in Z/5, since the exponent sum 6 is not 0 mod 5:
     # the shift action breaks the relator, so no kernel is taken, and
     # enumeration decides the group
     with pytest.raises(RuntimeError, match="does not fix"):
         _schreier_rows(cyclic6.relators, shift_action(cyclic6, 5))
-    assert rt.cyclic_verdict(cyclic6, 5, budget=10) == (
-        Pi1Verdict("finite", 6, "coset-enumeration"), True
+    assert rt.cyclic_verdict(cyclic6, 5, budget=10) == Pi1Verdict(
+        "finite", 6, "coset-enumeration"
     )
 
 

@@ -98,10 +98,10 @@ def test_twist_rim_presentation_matches_the_full_twist_relators():
 def test_twist_rim_orders():
     tre = rt.presentation_of_knot(TREFOIL)
     assert rt.todd_coxeter(rt.twist_rim_presentation(tre, 2, 2)).order == 6
-    cyclic5 = (Pi1Verdict("cyclic", 5, "coset-enumeration"), False)
+    cyclic5 = Pi1Verdict("cyclic", 5, "coset-enumeration")
     assert rt.cyclic_verdict(rt.twist_rim_presentation(tre, 5, 4), 5) == cyclic5
     fig8 = rt.presentation_of_knot(FIGURE_EIGHT)
-    cyclic3 = (Pi1Verdict("cyclic", 3, "coset-enumeration"), False)
+    cyclic3 = Pi1Verdict("cyclic", 3, "coset-enumeration")
     assert rt.cyclic_verdict(rt.twist_rim_presentation(fig8, 3, 2), 3) == cyclic3
 
 
@@ -123,8 +123,8 @@ def test_congruence_sweep_matches_enumeration():
                 if not congruent_pm1(d, m):
                     continue
                 p = rt.twist_rim_presentation(pres, d, m)
-                assert rt.cyclic_verdict(p, d) == (
-                    Pi1Verdict("cyclic", d, "coset-enumeration"), False
+                assert rt.cyclic_verdict(p, d) == Pi1Verdict(
+                    "cyclic", d, "coset-enumeration"
                 ), (rt.render(knot), d, m)
 
 
@@ -274,6 +274,24 @@ def test_enumerate_examples_streams():
     )
 
 
+@pytest.mark.parametrize(
+    "kind, certificate, proven",
+    [
+        ("cyclic", "congruence", False),
+        ("cyclic", "coset-enumeration", False),
+        ("finite", "coset-enumeration", True),
+        ("undetermined", "infinite-cover-homology", True),
+        ("undetermined", "infinite-subgroup-homology", True),
+        ("undetermined", "kernel-homology", True),
+        ("undetermined", "abelianization-mismatch", True),
+        ("undetermined", "budget-exhausted", False),
+    ],
+)
+def test_pi1_verdict_proves_not_cyclic(kind, certificate, proven):
+    order = {"cyclic": 5, "finite": 24}.get(kind)
+    assert Pi1Verdict(kind, order, certificate).proves_not_cyclic is proven
+
+
 def test_determine_pi1_rejects_bad_budget():
     tre = rt.presentation_of_knot(TREFOIL)
     assert determine_pi1(tre, 5, 4, 1) == (
@@ -333,6 +351,7 @@ def test_determine_pi1_matches_wirtinger_route():
                     want = _enumerated_verdict(_full_twist_presentation(p, d, m), d, budget)
                     got = determine_pi1(p, d, m, budget)
                     case = (rt.render(knot), d, m, budget, want, got)
+                    assert got[1] == got[0].proves_not_cyclic, case
                     if want[0].kind != "undetermined":
                         assert got == want, case
                     assert _strength(got) >= _strength(want), case
@@ -435,8 +454,8 @@ def test_determine_pi1_fails_fast_when_d_exceeds_the_budget():
                     continue
                 group = rt.twist_rim_presentation(reduced_knot_presentation(p), d, m)
                 want = rt.surgery.cyclic_verdict(group, d, budget)
-                assert want == (Pi1Verdict("undetermined", None, "budget-exhausted"), False)
-                assert determine_pi1(p, d, m, budget) == want, (rt.render(knot), d, m)
+                assert want == Pi1Verdict("undetermined", None, "budget-exhausted")
+                assert determine_pi1(p, d, m, budget) == (want, False), (rt.render(knot), d, m)
     # <a, b | a b^-2> abelianizes to Z, but a is twice a generator, so its
     # twist-rim group abelianizes to Z/2d: no shortcut for it
     doubled = GroupPresentation(("a", "b"), ((1, -2, -2),), 1)
