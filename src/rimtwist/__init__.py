@@ -21,7 +21,6 @@ from .groups import (
     AbelianInvariants,
     CosetTable,
     abelianization,
-    tietze_simplify,
     todd_coxeter,
 )
 from .knots import (
@@ -59,6 +58,7 @@ from .wirtinger import (
     mirror_expr,
     presentation_connected_sum,
     presentation_of_knot,
+    tietze_simplify,
     wirtinger_from_braid,
     wirtinger_from_pd,
 )

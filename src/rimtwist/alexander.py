@@ -6,7 +6,7 @@ derivatives out as the Alexander matrix without the meridian column and
 splits it into square column-connected blocks, and the polynomial is
 the product of their determinants, each by fraction-free elimination
 over Z[t, t^-1].  The matrix is taken on
-``groups.reduced_knot_presentation``, the presentation that the pi1
+``GroupPresentation.reduced``, the presentation that the pi1
 verdict and the cover structure read too: Tietze moves shrink the
 Wirtinger presentation of a braid closure to about one generator per
 strand, so T(4,9) gives one 4 x 4 block where its Wirtinger
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .groups import abelianization, reduced_knot_presentation
+from .groups import abelianization
 from .knots import KnotExpr, KnotSemanticError
 from .laurent import LaurentPoly, laurent_det
 from .wirtinger import GroupPresentation, _ArcUnion, presentation_of_knot
@@ -127,12 +127,12 @@ def alexander_polynomial(p: GroupPresentation) -> LaurentPoly:
     """Alexander polynomial of a knot-group presentation, normalized.
 
     The product of the determinants of the reduced Alexander blocks, which
-    delete the meridian's column, of ``reduced_knot_presentation(p)``:
+    delete the meridian's column, of ``p.reduced``:
     ``p`` without the redundant crossing relator of each diagram, then
     Tietze-simplified.  Both steps keep the group and the meridian, so
     the polynomial is that of the blocks of ``p`` itself.
     """
-    blocks, _ = reduced_alexander_blocks(reduced_knot_presentation(p))
+    blocks, _ = reduced_alexander_blocks(p.reduced)
     det = LaurentPoly.one()
     for block in blocks:
         det = det * laurent_det(block)

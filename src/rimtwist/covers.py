@@ -6,8 +6,8 @@ of its values over the d-th roots of unity); it costs O(e^2 log d) for
 a polynomial of degree e, plus an integer determinant of size at most
 2e - 1, so d = 10^5 is cheap.  The group structure is H1 of
 pi1(Sigma_d), the kernel of G/<<mu^d>> -> Z/d for a meridian mu, taken
-by ``groups.kernel_h1``: Reidemeister-Schreier on the d cosets of the
-reduced knot presentation and the Smith normal form of the rewritten,
+by ``groups.kernel_h1``: Reidemeister-Schreier on the d cosets of
+``GroupPresentation.reduced`` and the Smith normal form of the rewritten,
 sparse relators, the one H1 route of the package.  The two routes share
 only the presentation and the check that it presents a knot group.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .alexander import require_knot_group
-from .groups import DEFAULT_COSET_BUDGET, AbelianInvariants, kernel_h1, reduced_knot_presentation
+from .groups import DEFAULT_COSET_BUDGET, AbelianInvariants, kernel_h1
 from .laurent import LaurentPoly, resultant_with_cyclotomic
 from .wirtinger import GroupPresentation
 
@@ -41,8 +41,8 @@ def branched_cover_structure(p: GroupPresentation, d: int) -> AbelianInvariants:
     """H1 of the d-fold branched cover as an abelian group.
 
     ``p.meridian`` must be a meridian of the knot, as it is in every
-    presentation this package builds.  Reduces ``p`` (redundant crossing
-    relators dropped, then Tietze moves), appends mu^d for the meridian
+    presentation this package builds.  Takes ``p.reduced`` (redundant
+    crossing relators dropped, then Tietze moves), appends mu^d for the meridian
     mu, and returns H1 of the kernel of that group onto Z/d with every
     generator sent to 1: pi1 of the d-fold branched cover, whose
     meridian lifts to mu^d.
@@ -56,7 +56,7 @@ def branched_cover_structure(p: GroupPresentation, d: int) -> AbelianInvariants:
         raise ValueError("d must be >= 1")
     if d > DEFAULT_COSET_BUDGET:
         raise ValueError(f"d must be <= {DEFAULT_COSET_BUDGET} for the structure")
-    q = reduced_knot_presentation(p)
+    q = p.reduced
     require_knot_group(q)
     closed = replace(q, relators=q.relators + ((q.meridian,) * d,))
     return kernel_h1(closed, d)

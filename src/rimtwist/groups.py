@@ -5,8 +5,7 @@ Smith normal form (the abelianization is the case d = 1), low-index
 subgroups, towers of cyclic covers and commutator subgroups over the
 point stabilizers of permutation representations and over the kernels
 of their images, bounded Todd-Coxeter coset enumeration over the
-trivial subgroup (HLT strategy, in-place coincidence handling), and
-Tietze simplification.
+trivial subgroup (HLT strategy, in-place coincidence handling).
 Everything is exact and deterministic; enumeration that hits its coset
 budget reports "exhausted" rather than guessing.
 """
@@ -19,8 +18,8 @@ from heapq import heapify, heappop, heappush
 from itertools import count, product
 from math import gcd, lcm
 
-from .wirtinger import GroupPresentation, drop_redundant_crossing_relators
-from .words import Word, canonical_cyclic, cyclic_reduce, invert, substitute
+from .wirtinger import GroupPresentation
+from .words import Word, cyclic_reduce, invert
 
 DEFAULT_COSET_BUDGET = 10**6
 
@@ -846,90 +845,3 @@ def todd_coxeter(p: GroupPresentation, budget: int = DEFAULT_COSET_BUDGET) -> Co
     if not _closed(table, parent, defined, relators):
         raise RuntimeError("enumeration finished with an unclosed table")
     return CosetTable(budget=budget, order=live, live=live)
-
-
-# -- Tietze simplification ------------------------------------------------
-
-
-def _letters(w: Word) -> dict[int, int]:
-    """Occurrences of each generator in ``w``; on words this short a loop
-    beats ``collections.Counter``'s set-up."""
-    counts: dict[int, int] = {}
-    for x in w:
-        g = abs(x)
-        counts[g] = counts.get(g, 0) + 1
-    return counts
-
-
-def tietze_simplify(p: GroupPresentation) -> GroupPresentation:
-    """Shrink a presentation without changing the group.
-
-    Free/cyclic reduction, duplicate-relator removal, and elimination
-    of generators isolated (single occurrence) in some relator.  Each
-    pass drops empty and repeated relators (up to rotation and
-    inversion), then tries the eliminations in order of (relator
-    length, relator index, generator) and applies the first that does
-    not increase the total relator length, so generator count, relator
-    count, and total length never exceed the input's.  The
-    distinguished meridian is never eliminated.  Passes repeat until
-    one eliminates nothing; each of the others removes a generator, so
-    the loop terminates.
-
-    An elimination rewrites only the relators that hold the generator;
-    the others keep their letter counts and canonical keys, and the
-    surviving generators are renumbered once, at the end.
-    """
-    meridian = p.meridian
-    # one [word, letters per generator, canonical key once computed] per relator
-    rels = [[w, _letters(w), None] for w in map(cyclic_reduce, p.relators)]
-    gone: set[int] = set()
-    while True:
-        seen: set[Word] = set()
-        kept = []
-        for rel in rels:
-            if not rel[0]:
-                continue
-            if rel[2] is None:
-                rel[2] = canonical_cyclic(rel[0])
-            if rel[2] not in seen:
-                seen.add(rel[2])
-                kept.append(rel)
-        rels = kept
-        candidates = sorted(
-            (len(w), ri, g)
-            for ri, (w, letters, _) in enumerate(rels)
-            for g, n in letters.items()
-            if n == 1 and g != meridian
-        )
-        for size, ri, g in candidates:
-            r = rels[ri][0]
-            pos = r.index(g) if g in r else r.index(-g)
-            rot = r[pos + 1 :] + r[:pos]
-            image = invert(rot) if r[pos] > 0 else rot
-            holders = [rj for rj, rel in enumerate(rels) if g in rel[1] and rj != ri]
-            words = [cyclic_reduce(substitute(rels[rj][0], g, image)) for rj in holders]
-            if sum(map(len, words)) - sum(len(rels[rj][0]) for rj in holders) <= size:
-                for rj, w in zip(holders, words):
-                    rels[rj] = [w, _letters(w), None]
-                del rels[ri]
-                gone.add(g)
-                break
-        else:
-            break
-    kept_gens = [g for g in range(1, p.generator_count + 1) if g not in gone]
-    index = {g: k for k, g in enumerate(kept_gens, 1)}
-    return GroupPresentation(
-        tuple(p.generators[g - 1] for g in kept_gens),
-        tuple(tuple(index[x] if x > 0 else -index[-x] for x in rel[0]) for rel in rels),
-        meridian - sum(1 for g in gone if g < meridian),
-    )
-
-
-def reduced_knot_presentation(p: GroupPresentation) -> GroupPresentation:
-    """The same group on fewer generators: crossing relators dropped, then Tietze.
-
-    Drops the redundant crossing relator of each diagram, which leaves a
-    knot group's Wirtinger presentation of deficiency one, and
-    Tietze-simplifies the rest; the meridian survives both steps.
-    """
-    return tietze_simplify(drop_redundant_crossing_relators(p))

@@ -111,13 +111,6 @@ class LaurentPoly:
                     out[i + j] += ca * cb
         return LaurentPoly(self.min_exp + other.min_exp, out)
 
-    def scale(self, c: int) -> "LaurentPoly":
-        return LaurentPoly(self.min_exp, tuple(c * x for x in self.coeffs))
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by t^k."""
-        return LaurentPoly(self.min_exp + k, self.coeffs)
-
     def reverse(self) -> "LaurentPoly":
         """Substitute t -> t^-1."""
         return LaurentPoly(-self.max_exp, tuple(reversed(self.coeffs)))

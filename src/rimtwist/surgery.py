@@ -26,7 +26,6 @@ from .groups import (
     cover_tower,
     kernel_h1,
     low_index_actions,
-    reduced_knot_presentation,
     shift_action,
     todd_coxeter,
 )
@@ -338,9 +337,9 @@ def determine_pi1(
 
     The pair stays only because ``perfbench/tracing.py`` reads
     ``result[0]``.  Outside the congruence d = +/-1 mod m, the twist-rim
-    group is built on ``reduced_knot_presentation(p)``, so ``budget``
-    counts the cosets of a presentation on fewer generators than the
-    Wirtinger one.  When ``p`` presents a knot group
+    group is built on ``p.reduced`` (``GroupPresentation.reduced``), so
+    ``budget`` counts the cosets of a presentation on fewer generators
+    than the Wirtinger one.  When ``p`` presents a knot group
     (``require_knot_group``), the twist-rim group maps onto Z/d, so its
     order is at least d; for d > budget no table can close, and the
     verdict is ``budget-exhausted``, as ``cyclic_verdict`` would find,
@@ -361,7 +360,7 @@ def _pi1_verdict(p: GroupPresentation, d: int, m: int, budget: int) -> Pi1Verdic
         with suppress(ValueError):
             require_knot_group(p)
             return Pi1Verdict("undetermined", None, "budget-exhausted")
-    group = twist_rim_presentation(reduced_knot_presentation(p), d, m)
+    group = twist_rim_presentation(p.reduced, d, m)
     return cyclic_verdict(group, d, budget)
 
 

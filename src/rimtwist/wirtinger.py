@@ -1,9 +1,11 @@
-"""Wirtinger presentations of knot groups.
+"""Knot-group presentations and their reduction.
 
-One generator per arc of the diagram, one conjugation relator per
-crossing, a distinguished meridian generator (index 1 by convention),
-and exactly one redundant relator which is kept in the stored
-presentation; ``drop_redundant_crossing_relators`` removes it.
+A Wirtinger presentation has one generator per arc of the diagram, one
+conjugation relator per crossing, a distinguished meridian generator
+(index 1 by convention), and exactly one redundant relator which is
+kept in the stored presentation.  ``GroupPresentation.reduced`` is the
+same group on fewer generators: ``drop_redundant_crossing_relators``
+removes that relator, then ``tietze_simplify`` eliminates generators.
 
 Sign convention: at a positive crossing the outgoing under-arc is
 ``over * in * over^-1``; a negative crossing conjugates the other way.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .knots import (
     PD,
@@ -27,7 +30,7 @@ from .knots import (
     mirror_pd,
     torus_braid,
 )
-from .words import Word
+from .words import Word, canonical_cyclic, cyclic_reduce, invert, substitute
 
 
 @dataclass(frozen=True)
@@ -56,6 +59,18 @@ class GroupPresentation:
     @property
     def generator_count(self) -> int:
         return len(self.generators)
+
+    @cached_property
+    def reduced(self) -> "GroupPresentation":
+        """The same group on fewer generators: crossing relators dropped, then Tietze.
+
+        Drops the redundant crossing relator of each diagram, which leaves
+        a knot group's Wirtinger presentation of deficiency one, and
+        Tietze-simplifies the rest; the meridian survives both steps.
+        Computed once per object and kept out of the fields, so ``==``,
+        ``hash``, ``repr`` and ``to_json`` do not see it.
+        """
+        return tietze_simplify(drop_redundant_crossing_relators(self))
 
     def __str__(self) -> str:
         gens = ", ".join(self.generators)
@@ -311,3 +326,80 @@ def drop_redundant_crossing_relators(p: GroupPresentation) -> GroupPresentation:
     gens = Counter(arcs.find(g) for g in {abs(x) for i in crossing for x in p.relators[i]})
     dropped = {ids[-1] for root, ids in rows.items() if len(ids) == gens[root]}
     return replace(p, relators=tuple(r for i, r in enumerate(p.relators) if i not in dropped))
+
+
+# -- Tietze simplification ------------------------------------------------
+
+
+def _letters(w: Word) -> dict[int, int]:
+    """Occurrences of each generator in ``w``; on words this short a loop
+    beats ``collections.Counter``'s set-up."""
+    counts: dict[int, int] = {}
+    for x in w:
+        g = abs(x)
+        counts[g] = counts.get(g, 0) + 1
+    return counts
+
+
+def tietze_simplify(p: GroupPresentation) -> GroupPresentation:
+    """Shrink a presentation without changing the group.
+
+    Free/cyclic reduction, duplicate-relator removal, and elimination
+    of generators isolated (single occurrence) in some relator.  Each
+    pass drops empty and repeated relators (up to rotation and
+    inversion), then tries the eliminations in order of (relator
+    length, relator index, generator) and applies the first that does
+    not increase the total relator length, so generator count, relator
+    count, and total length never exceed the input's.  The
+    distinguished meridian is never eliminated.  Passes repeat until
+    one eliminates nothing; each of the others removes a generator, so
+    the loop terminates.
+
+    An elimination rewrites only the relators that hold the generator;
+    the others keep their letter counts and canonical keys, and the
+    surviving generators are renumbered once, at the end.
+    """
+    meridian = p.meridian
+    # one [word, letters per generator, canonical key once computed] per relator
+    rels = [[w, _letters(w), None] for w in map(cyclic_reduce, p.relators)]
+    gone: set[int] = set()
+    while True:
+        seen: set[Word] = set()
+        kept = []
+        for rel in rels:
+            if not rel[0]:
+                continue
+            if rel[2] is None:
+                rel[2] = canonical_cyclic(rel[0])
+            if rel[2] not in seen:
+                seen.add(rel[2])
+                kept.append(rel)
+        rels = kept
+        candidates = sorted(
+            (len(w), ri, g)
+            for ri, (w, letters, _) in enumerate(rels)
+            for g, n in letters.items()
+            if n == 1 and g != meridian
+        )
+        for size, ri, g in candidates:
+            r = rels[ri][0]
+            pos = r.index(g) if g in r else r.index(-g)
+            rot = r[pos + 1 :] + r[:pos]
+            image = invert(rot) if r[pos] > 0 else rot
+            holders = [rj for rj, rel in enumerate(rels) if g in rel[1] and rj != ri]
+            words = [cyclic_reduce(substitute(rels[rj][0], g, image)) for rj in holders]
+            if sum(map(len, words)) - sum(len(rels[rj][0]) for rj in holders) <= size:
+                for rj, w in zip(holders, words):
+                    rels[rj] = [w, _letters(w), None]
+                del rels[ri]
+                gone.add(g)
+                break
+        else:
+            break
+    kept_gens = [g for g in range(1, p.generator_count + 1) if g not in gone]
+    index = {g: k for k, g in enumerate(kept_gens, 1)}
+    return GroupPresentation(
+        tuple(p.generators[g - 1] for g in kept_gens),
+        tuple(tuple(index[x] if x > 0 else -index[-x] for x in rel[0]) for rel in rels),
+        meridian - sum(1 for g in gone if g < meridian),
+    )

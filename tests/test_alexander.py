@@ -6,7 +6,6 @@ import pytest
 import rimtwist as rt
 from rimtwist import LaurentPoly, fox_derivative, poly_text
 from rimtwist.alexander import reduced_alexander_blocks
-from rimtwist.groups import reduced_knot_presentation
 from rimtwist.wirtinger import drop_redundant_crossing_relators
 from helpers import (
     COVER_POOL_KNOTS,
@@ -146,7 +145,7 @@ def test_connected_sum_blocks():
     blocks, free_cols = reduced_alexander_blocks(drop_redundant_crossing_relators(p))
     assert free_cols == 0
     assert sorted(len(b) for b in blocks) == [2, 3]
-    blocks, free_cols = reduced_alexander_blocks(reduced_knot_presentation(p))
+    blocks, free_cols = reduced_alexander_blocks(p.reduced)
     assert free_cols == 0
     assert sorted(len(b) for b in blocks) == [1, 1]
     assert poly_text(rt.alexander_polynomial(p)) == "t^4 - 2t^3 + 3t^2 - 2t + 1"
@@ -159,7 +158,7 @@ def test_reduced_presentations_leave_no_zero_or_unit_row():
     for knot in knots:
         p = rt.presentation_of_knot(knot)
         for meridian in range(1, min(p.generator_count, 6) + 1):
-            q = reduced_knot_presentation(dataclasses.replace(p, meridian=meridian))
+            q = dataclasses.replace(p, meridian=meridian).reduced
             for r in q.relators:
                 row = [fox_derivative(r, j) for j in range(1, q.generator_count + 1) if j != q.meridian]
                 support = [x for x in row if x]

@@ -37,6 +37,26 @@ def test_cover_large_d_json():
     assert json.loads(out) == {"d": 100000, "order": 3}
 
 
+def test_each_command_reduces_its_presentation_once(monkeypatch):
+    passes = []
+    simplify = rt.wirtinger.tietze_simplify
+
+    def counted(p):
+        passes.append(p)
+        return simplify(p)
+
+    monkeypatch.setattr(rt.wirtinger, "tietze_simplify", counted)
+    for argv in (
+        ["classify", "T(3,4)", "--d", "4", "--m", "2", "--budget", "5000"],
+        ["cover", "T(5,7)", "--d", "12", "--structure"],
+        ["pi1", "T(3,4)", "--d", "4", "--m", "2", "--budget", "5000"],
+        ["alexander", "T(4,9)"],
+    ):
+        passes.clear()
+        assert _run(argv)[0] == 0, argv
+        assert len(passes) == 1, argv
+
+
 def test_cover_text():
     code, out, _ = _run(["cover", "T(2,3)", "--d", "2"])
     assert code == 0 and out.strip() == "order 3"

@@ -18,7 +18,6 @@ from rimtwist.groups import (
     _word_to_cols,
     cover_tower,
     low_index_actions,
-    reduced_knot_presentation,
     shift_action,
 )
 from rimtwist.wirtinger import drop_redundant_crossing_relators
@@ -438,6 +437,7 @@ def test_tietze_examples():
 def test_tietze_never_grows():
     for knot in (TREFOIL, FIGURE_EIGHT, rt.parse_knot("T(3,4)")):
         p = rt.presentation_of_knot(knot)
+        copy, seen = dataclasses.replace(p), (hash(p), repr(p), p.to_json())
         for q in (p, drop_redundant_crossing_relators(p)):
             s = rt.tietze_simplify(q)
             assert s.generator_count <= q.generator_count
@@ -445,8 +445,17 @@ def test_tietze_never_grows():
             assert sum(map(len, s.relators)) <= sum(map(len, q.relators))
             assert rt.abelianization(s) == AbelianInvariants(1, ())
         # Tietze moves keep the deficiency one the Alexander blocks need
-        assert s == reduced_knot_presentation(p)
+        assert s == p.reduced
         assert rt.alexander_polynomial(s).unit_equal(rt.alexander_polynomial(p))
+        # the cached reduction is not part of the value, and a replaced
+        # meridian gets its own reduction rather than the cached one
+        assert p == copy and (hash(p), repr(p), p.to_json()) == seen
+        fresh = {
+            k: rt.tietze_simplify(drop_redundant_crossing_relators(dataclasses.replace(p, meridian=k)))
+            for k in range(2, p.generator_count + 1)
+        }
+        k = next(k for k, r in fresh.items() if r != p.reduced)
+        assert dataclasses.replace(p, meridian=k).reduced == fresh[k]
 
 
 def test_tietze_runs_to_a_fixpoint_on_large_presentations():
@@ -670,7 +679,7 @@ def test_kernel_homology_against_sympy_oracle():
     pytest.importorskip("sympy")
     cases = [("T(2,3)", 3, 3), ("T(2,3)", 5, 7), ("T(2,3)#mirror(T(2,3))", 2, 4)]
     for text, d, m in cases:
-        p = reduced_knot_presentation(rt.presentation_of_knot(rt.parse_knot(text)))
+        p = rt.presentation_of_knot(rt.parse_knot(text)).reduced
         group = rt.twist_rim_presentation(p, d, m)
         assert groups.kernel_h1(group, d) == _sympy_kernel_h1(group, d), (text, d, m)
 
@@ -755,7 +764,7 @@ def _conjugacy_class(action):
 
 
 def _trefoil_quotient(d, m=0):
-    tre = reduced_knot_presentation(rt.presentation_of_knot(TREFOIL))
+    tre = rt.presentation_of_knot(TREFOIL).reduced
     return rt.twist_rim_presentation(tre, d, m)
 
 
@@ -786,7 +795,7 @@ def test_low_index_actions_against_sympy_oracle():
 def test_low_index_actions_satisfy_every_relator():
     triangle = GroupPresentation(("a", "b"), ((1, 1), (2, 2, 2), (1, 2) * 7), 1)
     presentations = [triangle] + [
-        rt.twist_rim_presentation(reduced_knot_presentation(rt.presentation_of_knot(knot)), d, m)
+        rt.twist_rim_presentation(rt.presentation_of_knot(knot).reduced, d, m)
         for _, knot in SMALL_CORPUS
         for d, m in ((3, 0), (4, 2), (5, 5))
     ]
@@ -827,7 +836,7 @@ def test_finite_groups_are_never_certified_infinite():
     # d = 3 for T(2,5)); neither tower finds a subgroup with a free H1
     cases = [(_trefoil_quotient(d), d) for d in range(2, 6)]
     for knot in (rt.parse_knot("T(2,5)"), rt.parse_knot("T(3,4)"), FIGURE_EIGHT):
-        p = reduced_knot_presentation(rt.presentation_of_knot(knot))
+        p = rt.presentation_of_knot(knot).reduced
         for d in range(2, 6):
             for t in range(d):
                 if t or d == 2 or (rt.render(knot) == "T(2,5)" and d == 3):
@@ -868,9 +877,9 @@ def test_cover_tower_proves_what_the_quotient_kernels_prove():
     triangle = GroupPresentation(("a", "b"), ((1, 1), (2, 2, 2), (1, 2) * 7), 1)
     cases = [triangle] + [_trefoil_quotient(d) for d in (7, 8, 9)]
     for text, ds in (("T(2,5)", (4, 5)), ("T(3,4)", (3, 4, 5)), ("T(2,3)#mirror(T(2,3))", (2,))):
-        p = reduced_knot_presentation(rt.presentation_of_knot(rt.parse_knot(text)))
+        p = rt.presentation_of_knot(rt.parse_knot(text)).reduced
         cases += [rt.twist_rim_presentation(p, d, 0) for d in ds]
-    fig8 = reduced_knot_presentation(rt.presentation_of_knot(FIGURE_EIGHT))
+    fig8 = rt.presentation_of_knot(FIGURE_EIGHT).reduced
     cases += [rt.twist_rim_presentation(fig8, d, 0) for d in (4, 5)]
     certified = 0
     for group in cases:
@@ -916,7 +925,7 @@ def test_cover_tower_over_k_proves_what_the_kernel_homology_proves():
     knots = [k for _, k in SMALL_CORPUS] + [rt.parse_knot("T(2,7)"), rt.parse_knot("T(3,5)")]
     cases = []
     for knot in knots:
-        p = reduced_knot_presentation(rt.presentation_of_knot(knot))
+        p = rt.presentation_of_knot(knot).reduced
         for d in range(2, 8):
             for m in range(-2, 9):
                 if not rt.congruent_pm1(d, m):
@@ -959,7 +968,7 @@ def test_budget_caps_the_cover_tower():
     # the figure-eight at d = 5: the first subgroup with a free H1 that the
     # tower over point stabilizers reaches has index 330
     fig8 = rt.presentation_of_knot(FIGURE_EIGHT)
-    group = rt.twist_rim_presentation(reduced_knot_presentation(fig8), 5, 0)
+    group = rt.twist_rim_presentation(fig8.reduced, 5, 0)
     actions = list(low_index_actions(group, 9))
     assert cover_tower(group, actions, 330).free_rank > 0
     assert cover_tower(group, actions, 329) is None
@@ -986,7 +995,7 @@ def test_low_index_actions_read_a_power_of_one_letter_once():
 def test_low_index_search_stops_at_its_step_bound(monkeypatch):
     # the figure-eight at d = 4 has 13 classes of subgroups of index at most
     # 9; the step bound stops the search after 10 of them
-    fig8 = reduced_knot_presentation(rt.presentation_of_knot(FIGURE_EIGHT))
+    fig8 = rt.presentation_of_knot(FIGURE_EIGHT).reduced
     group = rt.twist_rim_presentation(fig8, 4, 0)
     assert len(list(low_index_actions(group, 9))) == 10
     monkeypatch.setattr(groups, "LOW_INDEX_STEPS", 10**9)

@@ -12,7 +12,6 @@ from rimtwist.groups import (
     cover_tower,
     kernel_h1,
     low_index_actions,
-    reduced_knot_presentation,
     shift_action,
 )
 from rimtwist.surgery import determine_pi1
@@ -372,7 +371,7 @@ def test_determine_pi1_matches_wirtinger_route():
 def test_pi1_kernel_certificates():
     # T(2,3)#mirror(T(2,3)) at d = 2: H1(K) = Z/3 + Z/3, and the tower over
     # K reaches a subgroup with a free summand, so enumeration is skipped
-    group = rt.twist_rim_presentation(reduced_knot_presentation(rt.presentation_of_knot(TREFOIL_SUM)), 2, 4)
+    group = rt.twist_rim_presentation(rt.presentation_of_knot(TREFOIL_SUM).reduced, 2, 4)
     assert kernel_h1(group, 2) == rt.AbelianInvariants(0, (3, 3))
     assert cover_tower(group, [shift_action(group, 2)], 10**6).free_rank > 0
     assert determine_pi1(rt.presentation_of_knot(TREFOIL_SUM), 2, 4, 10**6) == (
@@ -382,7 +381,7 @@ def test_pi1_kernel_certificates():
     # enumerates to order 24 (K is the quaternion group, so no tower over
     # it certifies); once the budget runs out, the kernel proves it is not Z/3
     tre = rt.presentation_of_knot(TREFOIL)
-    group = rt.twist_rim_presentation(reduced_knot_presentation(tre), 3, 3)
+    group = rt.twist_rim_presentation(tre.reduced, 3, 3)
     assert kernel_h1(group, 3) == rt.AbelianInvariants(0, (2, 2))
     assert cover_tower(group, [shift_action(group, 3)], 10**6) is None
     assert determine_pi1(tre, 3, 3, 10**6) == (Pi1Verdict("finite", 24, "coset-enumeration"), True)
@@ -404,7 +403,7 @@ def test_pi1_subgroup_certificates():
         (9, "infinite-cover-homology"),
     ):
         assert determine_pi1(tre, d, 2 * d, 200000) == infinite(certificate), d
-        group = rt.twist_rim_presentation(reduced_knot_presentation(tre), d, 0)
+        group = rt.twist_rim_presentation(tre.reduced, d, 0)
         assert kernel_h1(group, d).free_rank == 0
         assert cover_tower(group, low_index_actions(group, 9), 200000).free_rank > 0, d
     t25 = rt.presentation_of_knot(rt.parse_knot("T(2,5)"))
@@ -452,7 +451,7 @@ def test_determine_pi1_fails_fast_when_d_exceeds_the_budget():
             for m in (0, 4, d + 2, -5):
                 if congruent_pm1(d, m):
                     continue
-                group = rt.twist_rim_presentation(reduced_knot_presentation(p), d, m)
+                group = rt.twist_rim_presentation(p.reduced, d, m)
                 want = rt.surgery.cyclic_verdict(group, d, budget)
                 assert want == Pi1Verdict("undetermined", None, "budget-exhausted")
                 assert determine_pi1(p, d, m, budget) == (want, False), (rt.render(knot), d, m)
@@ -481,7 +480,7 @@ def test_determine_pi1_memory_on_the_reduced_group():
     # no certificate decides the group, so enumeration runs and exhausts
     p = rt.presentation_of_knot(rt.parse_knot("T(3,5)"))
     assert p.generator_count == 10
-    assert reduced_knot_presentation(p).generator_count == 3
+    assert p.reduced.generator_count == 3
     tracemalloc.start()
     try:
         verdict = determine_pi1(p, 7, 7, 50000)
