@@ -3,7 +3,8 @@
 The free derivative of a relator word is abelianized on the fly
 (every generator maps to t).  ``reduced_alexander_blocks`` lays the
 derivatives out as the Alexander matrix without the meridian column and
-splits it into square column-connected blocks, and the polynomial is
+splits it into square column-connected blocks with the union-find of
+``wirtinger._components``, and the polynomial is
 the product of their determinants, each by fraction-free elimination
 over Z[t, t^-1].  The matrix is taken on
 ``GroupPresentation.reduced``, the presentation that the pi1
@@ -21,7 +22,7 @@ from math import gcd
 from .groups import abelianization
 from .knots import KnotExpr, KnotSemanticError
 from .laurent import LaurentPoly, laurent_det
-from .wirtinger import GroupPresentation, _ArcUnion, presentation_of_knot
+from .wirtinger import GroupPresentation, _components, presentation_of_knot
 from .words import Word, total_exponent
 
 
@@ -79,8 +80,9 @@ def reduced_alexander_blocks(
     presentation, so g_i -> t is the abelianization onto Z.
 
     Builds the Fox matrix of the presentation (one row per relator, one
-    column per generator) without the meridian column, drops its zero
-    rows, and splits the rest into column-connected components.  The
+    column per generator) without the meridian column and splits its
+    nonzero rows into column-connected components with
+    ``wirtinger._components``, the package's one union-find.  The
     reduced presentation of a knot group has deficiency one, so each
     component is a square block presenting a factor's Alexander module;
     any other shape raises ValueError.  A lone unit in a row, as in a
@@ -89,38 +91,26 @@ def reduced_alexander_blocks(
     determinant only by a unit, which ``normalize`` removes.
 
     Returns ``(blocks, free_columns)`` where ``free_columns`` counts
-    generators no relator touches.  It is always 0: H1 = Z makes t - 1
-    invertible on the Alexander module, so the module has no free
-    summand.  The count stays in the return value while
-    ``perfbench/tracing.py`` reads the blocks as its first item.
+    the columns outside every block, the generators no relator touches.
+    It is always 0: H1 = Z makes t - 1 invertible on the Alexander
+    module, so the module has no free summand.  The count stays in the
+    return value while ``perfbench/tracing.py`` reads the blocks as its
+    first item.
     """
     require_knot_group(p)
     cols = [j for j in range(1, p.generator_count + 1) if j != p.meridian]
     rows = [[fox_derivative(r, j) for j in cols] for r in p.relators]
-    rows = [row for row in rows if any(row)]
     supports = [[c for c, x in enumerate(row) if x] for row in rows]
-    components = _ArcUnion()
-    for _ in cols:
-        components.add()
-    for support in supports:
-        for c in support[1:]:
-            components.union(support[0], c)
-    comp_cols: dict[int, list[int]] = {}
-    for c in range(len(cols)):
-        comp_cols.setdefault(components.find(c), []).append(c)
-    comp_rows: dict[int, list[list[LaurentPoly]]] = {}
-    for row, support in zip(rows, supports):
-        comp_rows.setdefault(components.find(support[0]), []).append(row)
     blocks: list[list[list[LaurentPoly]]] = []
-    for root, block_rows in comp_rows.items():
-        block_cols = comp_cols[root]
+    for block_rows, block_cols in _components(len(cols), supports):
         if len(block_rows) != len(block_cols):
             raise ValueError(
                 "presentation does not reduce to square Alexander blocks "
                 f"({len(block_rows)} relators against {len(block_cols)} generators)"
             )
-        blocks.append([[row[c] for c in block_cols] for row in block_rows])
-    return blocks, len(comp_cols) - len(comp_rows)
+        blocks.append([[rows[i][c] for c in block_cols] for i in block_rows])
+    # each block is square, so its row count is its column count
+    return blocks, len(cols) - sum(map(len, blocks))
 
 
 def alexander_polynomial(p: GroupPresentation) -> LaurentPoly:

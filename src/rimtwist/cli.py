@@ -1,15 +1,16 @@
 """Command-line front end: alexander, pi1, cover, classify, search.
 
 Text output on stdout, diagnostics on stderr; ``--json`` switches every
-subcommand to a schema-stable JSON form.  Exit codes: 0 success, 2
-parse or validation error, 3 undetermined group verdict under
-``--strict``.
+subcommand to a schema-stable JSON form.  Exit codes: 0 success, 1 the
+reader closed stdout, 2 parse or validation error or a knot expression
+nested too deeply, 3 undetermined group verdict under ``--strict``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
@@ -116,11 +117,21 @@ def run(argv: list[str], out=None, err=None) -> int:
     except ValueError as exc:  # KnotError is a ValueError
         print(f"error: {exc}", file=err)
         return 2
+    except RecursionError:  # the parser and the walks over an expression recurse
+        print("error: knot expression is nested too deeply", file=err)
+        return 2
     return code
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left to devnull, so the flush at exit passes
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -5,7 +5,8 @@ Smith normal form (the abelianization is the case d = 1), low-index
 subgroups, towers of cyclic covers and commutator subgroups over the
 point stabilizers of permutation representations and over the kernels
 of their images, bounded Todd-Coxeter coset enumeration over the
-trivial subgroup (HLT strategy, in-place coincidence handling).
+trivial subgroup (HLT strategy, in-place coincidence handling, the
+merged cosets in a ``wirtinger._root`` forest).
 Everything is exact and deterministic; enumeration that hits its coset
 budget reports "exhausted" rather than guessing.
 """
@@ -18,7 +19,7 @@ from heapq import heapify, heappop, heappush
 from itertools import count, product
 from math import gcd, lcm
 
-from .wirtinger import GroupPresentation
+from .wirtinger import GroupPresentation, _root
 from .words import Word, cyclic_reduce, invert
 
 DEFAULT_COSET_BUDGET = 10**6
@@ -663,12 +664,6 @@ _INITIAL_CAPACITY = 256
 
 def _word_to_cols(w: Word) -> list[int]:
     return [2 * (x - 1) if x > 0 else 2 * (-x - 1) + 1 for x in w]
-
-
-def _root(parent: list[int], k: int) -> int:
-    while parent[k] != k:
-        parent[k] = k = parent[parent[k]]
-    return k
 
 
 def _enumerate_cosets(

@@ -9,11 +9,15 @@ removes that relator, then ``tietze_simplify`` eliminates generators.
 
 Sign convention: at a positive crossing the outgoing under-arc is
 ``over * in * over^-1``; a negative crossing conjugates the other way.
+
+The package has one union-find, a parent list whose roots ``_root``
+finds by path halving: the Wirtinger builders join arcs in it,
+``_components`` splits out diagrams here and Alexander blocks in
+``alexander``, and the coset enumeration in ``groups`` merges cosets.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -104,64 +108,51 @@ def _default_names(n: int) -> tuple[str, ...]:
     return tuple(f"g{i}" for i in range(1, n + 1))
 
 
-class _ArcUnion:
-    """Union-find over small integer ids: Wirtinger arcs, or Fox matrix columns."""
+def _root(parent: list[int], k: int) -> int:
+    """Root of ``k`` in the union-find forest ``parent``, halving the path to it."""
+    while parent[k] != k:
+        parent[k] = k = parent[parent[k]]
+    return k
 
-    def __init__(self):
-        self.parent: list[int] = []
 
-    def add(self) -> int:
-        self.parent.append(len(self.parent))
-        return len(self.parent) - 1
+def _components(n: int, supports: list[list[int]]) -> list[tuple[list[int], list[int]]]:
+    """Classes of the ids 0..n-1 that the supports connect, in one ``_root`` forest.
 
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            if rj < ri:
-                ri, rj = rj, ri
-            self.parent[rj] = ri
+    For each class that some nonempty support touches, returns the
+    indices of the class's supports and its ids, both ascending; the
+    pairs come in the order of each class's first support.
+    """
+    parent = list(range(n))
+    for support in supports:
+        for k in support[1:]:
+            parent[_root(parent, k)] = _root(parent, support[0])
+    classes: dict[int, tuple[list[int], list[int]]] = {}
+    for i, support in enumerate(supports):
+        if support:
+            classes.setdefault(_root(parent, support[0]), ([], []))[0].append(i)
+    for k in range(n):
+        if (pair := classes.get(_root(parent, k))) is not None:
+            pair[1].append(k)
+    return list(classes.values())
 
 
 def _finish_presentation(
-    arcs: _ArcUnion,
+    parent: list[int],
     raw_relators: list[tuple[int, int, int, int]],
     meridian_arc: int,
 ) -> GroupPresentation:
     """Renumber arc classes (meridian class first) and rewrite relators.
 
-    ``raw_relators`` hold (over, in, out, sign) arc ids; the emitted
-    word is ``over^s in over^-s out^-1``.
+    ``parent`` is the ``_root`` forest over arc ids; ``raw_relators``
+    hold (over, in, out, sign) arc ids, and the emitted word is
+    ``over^s in over^-s out^-1``.
     """
-    roots: list[int] = []
-    seen: set[int] = set()
-    mer_root = arcs.find(meridian_arc)
-    roots.append(mer_root)
-    seen.add(mer_root)
-    for i in range(len(arcs.parent)):
-        r = arcs.find(i)
-        if r not in seen:
-            seen.add(r)
-            roots.append(r)
-    index = {r: i + 1 for i, r in enumerate(roots)}
-
-    def gen(arc: int) -> int:
-        return index[arcs.find(arc)]
-
-    relators: list[Word] = []
-    for over, inc, out, sign in raw_relators:
-        o, a, c = gen(over), gen(inc), gen(out)
-        relators.append((sign * o, a, -sign * o, -c))
-    return GroupPresentation(
-        generators=_default_names(len(roots)),
-        relators=tuple(relators),
-        meridian=1,
+    index = {_root(parent, meridian_arc): 1}
+    gen = [index.setdefault(_root(parent, i), len(index) + 1) for i in range(len(parent))]
+    relators = tuple(
+        (sign * gen[o], gen[a], -sign * gen[o], -gen[c]) for o, a, c, sign in raw_relators
     )
+    return GroupPresentation(generators=_default_names(len(index)), relators=relators)
 
 
 def wirtinger_from_braid(braid: Braid) -> GroupPresentation:
@@ -172,14 +163,14 @@ def wirtinger_from_braid(braid: Braid) -> GroupPresentation:
     meridian is the arc entering strand 1 at the top.
     """
     s = braid.strands
-    arcs = _ArcUnion()
-    top = [arcs.add() for _ in range(s)]
-    current = list(top)
+    parent = list(range(s))  # arc j enters strand j at the top
+    current = list(range(s))
     raw: list[tuple[int, int, int, int]] = []
     for k in braid.word:
         i = abs(k) - 1
         a, b = current[i], current[i + 1]
-        c = arcs.add()
+        c = len(parent)
+        parent.append(c)
         if k > 0:
             # strand at position i passes over: out-arc c = a b a^-1
             raw.append((a, b, c, 1))
@@ -189,8 +180,8 @@ def wirtinger_from_braid(braid: Braid) -> GroupPresentation:
             raw.append((b, a, c, -1))
             current[i], current[i + 1] = b, c
     for j in range(s):
-        arcs.union(current[j], top[j])
-    return _finish_presentation(arcs, raw, top[0])
+        parent[_root(parent, current[j])] = _root(parent, j)
+    return _finish_presentation(parent, raw, 0)
 
 
 def wirtinger_from_pd(code: PD) -> GroupPresentation:
@@ -213,9 +204,7 @@ def wirtinger_from_pd(code: PD) -> GroupPresentation:
     def succ(e: int) -> int:
         return e % (2 * n) + 1
 
-    arcs = _ArcUnion()
-    for _ in range(2 * n):
-        arcs.add()
+    parent = list(range(2 * n))
     oriented: list[tuple[int, int, int, int]] = []  # (over_in, under_in, under_out, sign)
     for (a, b, c, d) in code.crossings:
         if succ(a) != c:
@@ -232,10 +221,10 @@ def wirtinger_from_pd(code: PD) -> GroupPresentation:
                 f"inconsistent orientation or multi-component code: over-strand "
                 f"{b}/{d} is not sequential"
             )
-        arcs.union(over_in - 1, over_out - 1)
+        parent[_root(parent, over_in - 1)] = _root(parent, over_out - 1)
         oriented.append((over_in, a, c, sign))
     raw = [(o - 1, a - 1, c - 1, sign) for (o, a, c, sign) in oriented]
-    return _finish_presentation(arcs, raw, 0)
+    return _finish_presentation(parent, raw, 0)
 
 
 def presentation_connected_sum(
@@ -306,25 +295,17 @@ def _is_crossing_relator(r: Word) -> bool:
 def drop_redundant_crossing_relators(p: GroupPresentation) -> GroupPresentation:
     """``p`` without the redundant crossing relator of each diagram it was built from.
 
-    Crossing relators whose generators connect are one diagram's
-    Wirtinger relators when they number as many as those generators (one
-    crossing per arc), and any one of them follows from the others, so
-    the last is dropped.  Other relators, such as a connected sum's
-    meridian identification, are kept.
+    Crossing relators whose generators connect, a class of
+    ``_components``, are one diagram's Wirtinger relators when they
+    number as many as those generators (one crossing per arc), and any
+    one of them follows from the others, so the last is dropped.  Other
+    relators, such as a connected sum's meridian identification, are kept.
     """
-    arcs = _ArcUnion()
-    for _ in range(p.generator_count + 1):
-        arcs.add()
-    crossing = [i for i, r in enumerate(p.relators) if _is_crossing_relator(r)]
-    for i in crossing:
-        x, y, _, z = p.relators[i]
-        arcs.union(abs(x), y)
-        arcs.union(y, -z)
-    rows: dict[int, list[int]] = {}
-    for i in crossing:
-        rows.setdefault(arcs.find(p.relators[i][1]), []).append(i)
-    gens = Counter(arcs.find(g) for g in {abs(x) for i in crossing for x in p.relators[i]})
-    dropped = {ids[-1] for root, ids in rows.items() if len(ids) == gens[root]}
+    supports = [
+        [abs(x) - 1 for x in r] if _is_crossing_relator(r) else [] for r in p.relators
+    ]
+    classes = _components(p.generator_count, supports)
+    dropped = {rows[-1] for rows, gens in classes if len(rows) == len(gens)}
     return replace(p, relators=tuple(r for i, r in enumerate(p.relators) if i not in dropped))
 
 
@@ -333,7 +314,7 @@ def drop_redundant_crossing_relators(p: GroupPresentation) -> GroupPresentation:
 
 def _letters(w: Word) -> dict[int, int]:
     """Occurrences of each generator in ``w``; on words this short a loop
-    beats ``collections.Counter``'s set-up."""
+    beats ``Counter``'s set-up."""
     counts: dict[int, int] = {}
     for x in w:
         g = abs(x)

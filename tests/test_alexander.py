@@ -149,6 +149,12 @@ def test_connected_sum_blocks():
     assert free_cols == 0
     assert sorted(len(b) for b in blocks) == [1, 1]
     assert poly_text(rt.alexander_polynomial(p)) == "t^4 - 2t^3 + 3t^2 - 2t + 1"
+    # blocks come in the order of their first rows: here one per summand,
+    # the unknot's made of its meridian identification alone
+    p = rt.presentation_of_knot(rt.parse_knot("T(2,3)#unknot#mirror(T(2,3))"))
+    blocks, free_cols = reduced_alexander_blocks(drop_redundant_crossing_relators(p))
+    assert free_cols == 0
+    assert [len(b) for b in blocks] == [2, 1, 3]
 
 
 def test_reduced_presentations_leave_no_zero_or_unit_row():

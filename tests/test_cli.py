@@ -240,6 +240,14 @@ def test_error_exit_codes():
     assert (code, out) == (2, "") and "d must be <= 1000000" in err
     assert _run(["cover", "T(2,3)", "--d", "1000001"])[:2] == (0, "order 1\n")
 
+    # the parser and the walks over an expression recurse; too deep an
+    # expression is refused like any other bad input, not with a traceback
+    deep = "mirror(" * 2000 + "T(2,3)" + ")" * 2000
+    wide = "#".join(["T(2,3)"] * 1500)
+    for knot in (deep, wide):
+        for argv in (["alexander", knot], ["classify", knot, "--d", "2", "--m", "3"]):
+            assert _run(argv) == (2, "", "error: knot expression is nested too deeply\n")
+
     # argparse failures also exit 2
     code, _, _ = _run(["cover", "T(2,3)"])
     assert code == 2
@@ -277,3 +285,16 @@ def test_module_entry_point_exit_codes():
     assert module("pi1", "T(2,3)", "--d", "5", "--m", "7", "--budget", "3", "--strict") == (
         3, "undetermined (budget-exhausted)\n", ""
     )
+
+    # a reader that closes stdout early, like ``| head -n 1``, ends the
+    # search with exit 1 and no traceback
+    argv = ["search", "--pmax", "4", "--qmax", "9", "--dmax", "30", "--mmax", "31", "--json"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rimtwist.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    assert json.loads(proc.stdout.readline())["knot"]
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == ""
+    proc.stderr.close()

@@ -151,3 +151,14 @@ def test_drop_redundant_crossing_relators():
     assert (q.generators, q.meridian) == (p.generators, p.meridian)
     # with one relator per diagram gone, no diagram has a redundant one left
     assert drop_redundant_crossing_relators(q) == q
+
+    # the unknot's generator is in no crossing relator, so it joins no diagram
+    p = rt.presentation_of_knot(rt.parse_knot("T(2,3)#unknot#mirror(T(2,3))"))
+    q = drop_redundant_crossing_relators(p)
+    assert len(p.relators) == 8
+    assert q.relators == p.relators[:2] + p.relators[3:6] + p.relators[7:]
+    # a one-crossing diagram loses its only relator
+    p = rt.presentation_of_knot(rt.parse_knot("braid(2; 1)#T(2,3)"))
+    q = drop_redundant_crossing_relators(p)
+    assert len(p.relators) == 5
+    assert q.relators == p.relators[1:3] + p.relators[4:]
