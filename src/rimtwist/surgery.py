@@ -370,13 +370,22 @@ def classify(
     """Full report for one surgered surface.
 
     Deterministic in its inputs; a blown coset budget downgrades the
-    group verdict to undetermined rather than fabricating one.
+    group verdict to undetermined rather than fabricating one.  Builds
+    the knot's presentation and cover order for this row alone.
     """
+    return _report(k, presentation_of_knot(k), params, budget, {})
+
+
+def _report(
+    k: KnotExpr, pres: GroupPresentation, params: SurgeryParams, budget: int, orders: dict
+) -> SurgeryReport:
+    """``classify`` on ``k``'s presentation ``pres``; ``orders`` caches d -> cover order."""
     d, m = params.d, params.m
-    pres = presentation_of_knot(k)
     pi1, _ = determine_pi1(pres, d, m, budget)
     delta = alexander_polynomial(pres)
-    order = branched_cover_order(delta, d)
+    if d not in orders:
+        orders[d] = branched_cover_order(delta, d)
+    order = orders[d]
     # the double branched cover of a nontrivial knot has nontrivial
     # fundamental group, which embeds with index 2 here
     index_two = d == 2 and m % 2 == 0 and delta != LaurentPoly.one()
@@ -406,6 +415,11 @@ def enumerate_examples(
     budget is involved.  Reports are yielded as they are classified, in
     lexicographic (p,q,d,m) order; the bounds are checked at the first
     ``next``.
+
+    Rows run ``classify``'s code, but each knot's presentation (so its
+    Tietze reduction) is built once, and each (knot, d) cover order is
+    computed once; Δ is still computed per row, from the cached
+    reduction.  Nothing outlives the generator.
     """
     if min(p_max, q_max, d_max, m_max) < 2:
         raise ValueError("all bounds must be >= 2")
@@ -414,6 +428,7 @@ def enumerate_examples(
             if gcd(p, q) != 1:
                 continue
             knot = ConnectedSum(TorusKnot(p, q), Mirror(TorusKnot(p, q)))
+            pres, orders = presentation_of_knot(knot), {}
             for d in range(2, d_max + 1):
                 if gcd(d, p) != 1 or gcd(d, q) != 1:
                     continue
@@ -421,4 +436,4 @@ def enumerate_examples(
                     if not congruent_pm1(d, m):
                         continue
                     params = SurgeryParams(d=d, m=m, sw_nontrivial=True)
-                    yield classify(knot, params)
+                    yield _report(knot, pres, params, DEFAULT_COSET_BUDGET, orders)

@@ -273,6 +273,46 @@ def test_enumerate_examples_streams():
     )
 
 
+def test_enumerate_examples_rows_equal_classify():
+    # the one-row route is the oracle for the sweep, which shares work across rows
+    reports = list(rt.enumerate_examples(4, 7, 11, 12))
+    assert len(reports) == 144
+    for r in reports:
+        alone = rt.classify(r.knot, r.params)
+        assert r == alone
+        assert r.to_json() == alone.to_json()
+
+
+def test_enumerate_examples_builds_once_per_knot_and_cover(monkeypatch):
+    import rimtwist.surgery as surgery
+    import rimtwist.wirtinger as wirtinger
+
+    calls = Counter()
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(surgery, "presentation_of_knot")
+    spy(wirtinger, "tietze_simplify")
+    spy(surgery, "branched_cover_order")
+    spy(surgery, "alexander_polynomial")
+    reports = list(rt.enumerate_examples(4, 7, 11, 12))
+    covers = {(r.knot.left.p, r.knot.left.q, r.params.d) for r in reports}
+    assert (len(reports), len(covers)) == (144, 33)
+    assert calls == Counter(
+        presentation_of_knot=8,
+        tietze_simplify=8,
+        branched_cover_order=33,
+        alexander_polynomial=144,  # Δ is still computed per row
+    )
+
+
 @pytest.mark.parametrize(
     "kind, certificate, proven",
     [
