@@ -2,9 +2,10 @@
 
 Two independent routes to the branched-cover homology.  The order is
 the resultant of the Alexander polynomial against t^d - 1 (the product
-of its values over the d-th roots of unity); it costs O(e^2 log d) for
-a polynomial of degree e, plus an integer determinant of size at most
-2e - 1, so d = 10^5 is cheap.  The group structure is H1 of
+of its values over the d-th roots of unity); it costs O(e^2 log d)
+coefficient steps for a polynomial of degree e, a reduction of t^d - 1
+modulo it and then a subresultant remainder sequence, so d = 10^5 is
+cheap.  The group structure is H1 of
 pi1(Sigma_d), the kernel of G/<<mu^d>> -> Z/d for a meridian mu, taken
 by ``groups.kernel_h1``: Reidemeister-Schreier on the d cosets of
 ``GroupPresentation.reduced`` and the Smith normal form of the rewritten,

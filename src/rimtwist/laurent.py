@@ -3,7 +3,9 @@
 Single variable t, arbitrary-precision integer coefficients, no
 floating point anywhere.  This module also carries the one
 fraction-free (Bareiss) determinant, over Z and over Z[t, t^-1], and the
-resultant against t^d - 1 used by the branched-cover order formula.
+resultant against t^d - 1 used by the branched-cover order formula,
+taken by a reduction modulo the polynomial and a subresultant
+remainder sequence.
 """
 
 from __future__ import annotations
@@ -316,6 +318,55 @@ def _square_mod(a: list[int], g: list[int]) -> tuple[list[int], int]:
     return _reduce(out, g)
 
 
+def _resultant(a: list[int], b: list[int]) -> int:
+    """Res(a, b) of two nonzero integer polynomials, by the subresultant PRS.
+
+    Coefficient lists are ascending with a nonzero last entry.  Collins's
+    subresultant remainder sequence (Collins 1967; Cohen, *A Course in
+    Computational Algebraic Number Theory*, Algorithm 3.3.7): the
+    contents are divided out first, each pseudo-remainder lc(b)^(delta+1) a
+    mod b is divided exactly by g h^delta, and the sign follows the
+    odd-by-odd degree pairs.  O(deg a * deg b) coefficient steps whose
+    sizes stay linear in the degrees, against the cubic determinant of
+    the Sylvester matrix.  A remainder that vanishes means a common
+    factor and gives 0.
+    """
+    m, n = len(a) - 1, len(b) - 1
+    sign = 1
+    if m < n:
+        a, b, m, n = b, a, n, m
+        if m * n % 2:
+            sign = -1
+    if n == 0:
+        return b[0] ** m
+    ca, cb = gcd(*a), gcd(*b)
+    scale = ca**n * cb**m
+    a = [x // ca for x in a]
+    b = [x // cb for x in b]
+    g = h = 1
+    while n > 0:
+        delta = m - n
+        if m % 2 and n % 2:
+            sign = -sign
+        lead = b[-1]
+        r = a
+        for top in range(m, n - 1, -1):
+            q, base = r[top], top - n
+            r = [lead * x for x in r[:base]] + [lead * x - q * y for x, y in zip(r[base:top], b)]
+        while r and r[-1] == 0:
+            r.pop()
+        if not r:
+            return 0
+        div = g * h**delta
+        a, m = b, n
+        b = [x // div for x in r]
+        n = len(b) - 1
+        g = lead
+        if delta:
+            h = g**delta // h ** (delta - 1)
+    return sign * scale * b[0] ** m // h ** (m - 1)
+
+
 def resultant_with_cyclotomic(delta: LaurentPoly, d: int) -> int:
     """Res(t^d - 1, delta'), the exact integer product of delta over d-th roots of unity.
 
@@ -326,12 +377,10 @@ def resultant_with_cyclotomic(delta: LaurentPoly, d: int) -> int:
     t^d - 1 is first reduced modulo delta' by square-and-multiply, in
     integers: the remainder is kept as R / D with D dividing a power of
     c.  Then Res(t^d - 1, delta') = (-1)^((d - k)e) c^(d - k)
-    Res(R, delta') / D^e with k = deg R, where Res(R, delta') is the
-    Bareiss determinant of a Sylvester matrix of size e + k <= 2e - 1.
-    The whole costs O(e^2 log d) plus that determinant, instead of the
-    (d + e)-square determinant of Res(t^d - 1, delta') itself.  For
-    d < e nothing is reduced, R = t^d - 1, and the matrix is that
-    (d + e)-square one.
+    Res(R, delta') / D^e with k = deg R, and Res(R, delta') is taken by
+    the subresultant remainder sequence of ``_resultant`` (Collins 1967;
+    Cohen, Algorithm 3.3.7) in O(e^2) coefficient steps.  The whole
+    costs O(e^2 log d).  For d < e nothing is reduced and R = t^d - 1.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -360,10 +409,5 @@ def resultant_with_cyclotomic(delta: LaurentPoly, d: int) -> int:
     if not num:
         return 0
     k = len(num) - 1
-    size = e + k
-    g_desc = g[::-1]
-    r_desc = num[::-1]
-    rows = [[0] * i + r_desc + [0] * (size - k - 1 - i) for i in range(e)]
-    rows += [[0] * i + g_desc + [0] * (size - e - 1 - i) for i in range(k)]
-    res = c ** (d - k) * laurent_det(rows) // den**e
+    res = c ** (d - k) * _resultant(num, g) // den**e
     return -res if (d - k) * e % 2 else res

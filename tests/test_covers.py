@@ -244,6 +244,16 @@ def test_branched_cover_order_large_d():
     assert orders == [3, 1, None, 1, 3, 4]
 
 
+def test_branched_cover_order_at_large_alexander_degree():
+    # for d prime to p, |H1(Sigma_d(T(p,q)))| = p^(gcd(d,q) - 1); the order is
+    # multiplicative over connected sums and blind to mirrors.  Delta has
+    # degree e = 240 here, past what the Sylvester oracle can take in time.
+    delta = rt.alexander_of_knot(rt.parse_knot("T(11,13)#mirror(T(11,13))"))
+    assert delta.normalize().max_exp == 240
+    assert rt.branched_cover_order(delta, 1300) == 11**24 == 9849732675807611094711841
+    assert rt.branched_cover_order(delta, 100_000) == 1
+
+
 def test_branched_cover_structure_examples():
     tre = rt.presentation_of_knot(TREFOIL)
     assert rt.branched_cover_structure(tre, 2) == AbelianInvariants(0, (3,))

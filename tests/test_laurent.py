@@ -6,6 +6,7 @@ import pytest
 from rimtwist.alexander import torus_alexander
 from rimtwist.laurent import (
     LaurentPoly,
+    _resultant,
     laurent_det,
     poly_text,
     resultant_with_cyclotomic,
@@ -261,18 +262,103 @@ def test_resultant_unit_invariance():
         assert resultant_with_cyclotomic(-shifted, 4) == resultant_with_cyclotomic(f, 4)
 
 
+def _sylvester(a, b):
+    """Oracle: Res(a, b) as the determinant of the Sylvester matrix (ascending lists)."""
+    m, n = len(a) - 1, len(b) - 1
+    size = m + n
+    rows = [[0] * i + a[::-1] + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + b[::-1] + [0] * (m - 1 - i) for i in range(m)]
+    assert all(len(row) == size for row in rows)
+    return laurent_det(rows)
+
+
 def _sylvester_resultant(delta, d):
     """Oracle: the (d + e)-square Sylvester determinant of t^d - 1 and delta'."""
-    g = delta.normalize()
-    e = g.max_exp
-    if e == 0:
-        return g.coeffs[0] ** d
-    f_desc = [1] + [0] * (d - 1) + [-1]
-    g_desc = [g.coeff(e - i) for i in range(e + 1)]
-    size = d + e
-    rows = [[0] * i + f_desc + [0] * (size - d - 1 - i) for i in range(e)]
-    rows += [[0] * i + g_desc + [0] * (size - e - 1 - i) for i in range(d)]
-    return laurent_det(rows)
+    return _sylvester([-1] + [0] * (d - 1) + [1], list(delta.normalize().coeffs))
+
+
+def _random_poly(rng, degree, bound=6):
+    """Ascending integer coefficients of exactly this degree; the leading one may be negative."""
+    lead = rng.choice([c for c in range(-bound, bound + 1) if c])
+    return [rng.randint(-bound, bound) for _ in range(degree)] + [lead]
+
+
+def _times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _resultant_pairs(rng):
+    """Seeded (kind, a, b) pairs for the subresultant oracles.
+
+    "content" scales both operands by non-unit integers of either sign;
+    "gap" builds a = q b + r with deg r <= deg b - 2, so the second step
+    of the remainder sequence drops two or more degrees while h is a
+    non-unit power of lc(b); "shared" multiplies both by one factor of
+    positive degree; "constant" makes one operand a constant.
+    """
+    for trial in range(240):
+        kind = ("dense", "content", "gap", "shared", "constant")[trial % 5]
+        a = _random_poly(rng, rng.randint(1, 8))
+        b = _random_poly(rng, rng.randint(1, 8))
+        if kind == "content":
+            a = [rng.choice((-6, -4, 2, 3, 9)) * x for x in a]
+            b = [rng.choice((-5, -2, 4, 6, 10)) * x for x in b]
+        elif kind == "gap":
+            b = _random_poly(rng, rng.randint(3, 7))
+            b[-1] = rng.choice((-3, -2, 2, 3, 5))
+            r = _random_poly(rng, rng.randint(0, len(b) - 3))
+            qb = _times(_random_poly(rng, rng.randint(1, 3)), b)
+            a = [x + (r[i] if i < len(r) else 0) for i, x in enumerate(qb)]
+        elif kind == "shared":
+            f = _random_poly(rng, rng.randint(1, 3))
+            a, b = _times(a, f), _times(b, f)
+        elif kind == "constant":
+            a = [rng.choice((-7, -2, -1, 1, 3, 8))]
+        if rng.random() < 0.5:
+            a, b = b, a
+        yield kind, a, b
+
+
+def test_subresultant_against_sylvester():
+    rng = random.Random(61)
+    zeros = 0
+    for kind, a, b in _resultant_pairs(rng):
+        res = _resultant(a, b)
+        assert type(res) is int
+        assert res == _sylvester(a, b), (kind, a, b)
+        assert _resultant(b, a) == (-1) ** ((len(a) - 1) * (len(b) - 1)) * res, (kind, a, b)
+        if kind == "shared":
+            assert res == 0, (a, b)
+        zeros += res == 0
+    assert zeros == 48  # the shared factors, and no other pair
+
+
+def test_subresultant_edge_cases():
+    assert _resultant([5], [-3]) == 1
+    assert _resultant([2], [1, 0, 1]) == 4  # c^deg b
+    assert _resultant([1, 0, 1], [-2]) == 4
+    assert _resultant([0, 1], [3, 2]) == _sylvester([0, 1], [3, 2]) == 3
+    assert _resultant([-1, 0, 1], [1, 1]) == 0  # t + 1 divides t^2 - 1
+
+
+def test_subresultant_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random(67)
+    for kind, a, b in _resultant_pairs(rng):
+        # sympy 1.14 swaps a lower-degree first operand without the sign
+        # (resultant(t, t^3 + 2) gives -2, not 2), so it gets the higher first
+        res = _resultant(a, b)
+        if len(a) < len(b):
+            a, b = b, a
+            res *= (-1) ** ((len(a) - 1) * (len(b) - 1))
+        fa = sum(c * t**i for i, c in enumerate(a))
+        fb = sum(c * t**i for i, c in enumerate(b))
+        assert res == sympy.resultant(fa, fb, t), (kind, a, b)
 
 
 def _oracle_degrees(e, d_max, extra=()):
