@@ -55,7 +55,6 @@ from .surgery import (
 )
 from .wirtinger import (
     GroupPresentation,
-    mirror_expr,
     presentation_connected_sum,
     presentation_of_knot,
     tietze_simplify,
@@ -98,7 +97,6 @@ __all__ = [
     "fox_derivative",
     "laurent_det",
     "mirror_braid",
-    "mirror_expr",
     "mirror_pd",
     "parse_knot",
     "poly_text",

@@ -97,6 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str], out=None, err=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # a cover order can run past 4,300 digits
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:

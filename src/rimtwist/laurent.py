@@ -5,7 +5,9 @@ floating point anywhere.  This module also carries the one
 fraction-free (Bareiss) determinant, over Z and over Z[t, t^-1], and the
 resultant against t^d - 1 used by the branched-cover order formula,
 taken by a reduction modulo the polynomial and a subresultant
-remainder sequence.
+remainder sequence.  One integer pseudo-division, ``_pseudo_divmod``,
+does every polynomial division here: the exact quotients of ``//``,
+that reduction, and the remainders of that sequence.
 """
 
 from __future__ import annotations
@@ -132,16 +134,17 @@ class LaurentPoly:
 
         An int divisor is a constant polynomial.  Division in
         Z[t, t^-1]: shift both operands to honest polynomials with
-        nonzero constant term, divide in Z[t], and restore the exponent
-        offset.
+        nonzero constant term, divide in Z[t] by ``_pseudo_divmod``, and
+        restore the exponent offset.  The division is exact when it
+        scaled nothing (k = 1) and left no remainder.
         """
         if isinstance(other, int):
             other = LaurentPoly(0, (other,))
         if not other:
             raise ZeroDivisionError("division by zero polynomial")
-        if not self:
-            return LaurentPoly.zero()
-        quot = _poly_div_exact(self.coeffs, other.coeffs)
+        quot, rem, k = _pseudo_divmod(self.coeffs, other.coeffs)
+        if k != 1 or rem:
+            raise ValueError("inexact polynomial division")
         return LaurentPoly(self.min_exp - other.min_exp, quot)
 
     def evaluate(self, x: int) -> int:
@@ -184,28 +187,6 @@ class LaurentPoly:
     @staticmethod
     def from_json(obj: dict) -> "LaurentPoly":
         return LaurentPoly(int(obj["min_exp"]), [int(c) for c in obj["coeffs"]])
-
-
-def _poly_div_exact(num: Sequence[int], den: Sequence[int]) -> list[int]:
-    """Exact division of trimmed, nonzero coefficient sequences (ascending order) over Z."""
-    if len(num) < len(den):
-        raise ValueError("inexact polynomial division")
-    num = list(num)
-    dlead = den[-1]
-    qlen = len(num) - len(den) + 1
-    quot = [0] * qlen
-    for k in range(qlen - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        if c % dlead != 0:
-            raise ValueError("inexact polynomial division")
-        q = c // dlead
-        quot[k] = q
-        if q:
-            for i, dc in enumerate(den):
-                num[k + i] -= q * dc
-    if any(num[: len(den) - 1]):
-        raise ValueError("inexact polynomial division")
-    return quot
 
 
 def poly_text(p: LaurentPoly) -> str:
@@ -278,35 +259,41 @@ def laurent_det(
     return det if sign == 1 else -det
 
 
-def _reduce(p: list[int], g: list[int]) -> tuple[list[int], int]:
-    """Integer pseudo-remainder: (r, k) with k * p = r (mod g) and deg r < deg g.
+def _pseudo_divmod(p: Sequence[int], g: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """Integer pseudo-division: (q, r, k) with k * p = q * g + r and deg r < deg g.
 
-    Coefficient lists are ascending.  Each step cancels the leading
-    term of p after scaling p by |c| / gcd(lead, c), where c is the
-    leading coefficient of g, so k divides a power of c and is 1
-    whenever c = +-1.  (Knuth, TAOCP vol. 2, 4.6.1.)
+    Coefficient lists are ascending, and g's last entry is nonzero.  Each
+    step cancels the leading term of p; when c, the leading coefficient
+    of g, does not divide that term, p and q are first scaled by
+    |c| / gcd(lead, c).  So k > 0 divides a power of c, and k = 1 exactly
+    when the quotient over Q is integral, as it is when g divides p in
+    Z[t] or c = +-1.  (Knuth, TAOCP vol. 2, 4.6.1.)
     """
     e = len(g) - 1
     c = g[-1]
     p = list(p)
+    q = [0] * max(len(p) - e, 0)
     k = 1
-    for top in range(len(p) - 1, e - 1, -1):
-        a = p[top]
+    for base in range(len(q) - 1, -1, -1):
+        a = p[base + e]
         if a == 0:
             continue
-        h = gcd(a, c) if c > 0 else -gcd(a, c)
-        s = c // h
-        if s != 1:
-            p = [s * x for x in p[:top]]
+        if a % c:
+            h = gcd(a, c) if c > 0 else -gcd(a, c)
+            s = c // h
+            p = [s * x for x in p[: base + e]]
+            q = [s * x for x in q]
             k *= s
-        q = a // h
-        base = top - e
+            a //= h
+        else:
+            a //= c
+        q[base] = a
         for i in range(e):
-            p[base + i] -= q * g[i]
+            p[base + i] -= a * g[i]
     r = p[:e]
     while r and r[-1] == 0:
         r.pop()
-    return r, k
+    return q, r, k
 
 
 def _square_mod(a: list[int], g: list[int]) -> tuple[list[int], int]:
@@ -315,7 +302,7 @@ def _square_mod(a: list[int], g: list[int]) -> tuple[list[int], int]:
         if x:
             for j, y in enumerate(a):
                 out[i + j] += x * y
-    return _reduce(out, g)
+    return _pseudo_divmod(out, g)[1:]
 
 
 def _resultant(a: list[int], b: list[int]) -> int:
@@ -349,17 +336,12 @@ def _resultant(a: list[int], b: list[int]) -> int:
         if m % 2 and n % 2:
             sign = -sign
         lead = b[-1]
-        r = a
-        for top in range(m, n - 1, -1):
-            q, base = r[top], top - n
-            r = [lead * x for x in r[:base]] + [lead * x - q * y for x, y in zip(r[base:top], b)]
-        while r and r[-1] == 0:
-            r.pop()
+        _, r, k = _pseudo_divmod(a, b)
         if not r:
             return 0
-        div = g * h**delta
+        mul, div = lead ** (delta + 1) // k, g * h**delta
         a, m = b, n
-        b = [x // div for x in r]
+        b = [x * mul // div for x in r]
         n = len(b) - 1
         g = lead
         if delta:
@@ -397,7 +379,7 @@ def resultant_with_cyclotomic(delta: LaurentPoly, d: int) -> int:
         num, scale = _square_mod(num, g)
         den = den * den * scale
         if bit == "1":
-            num, scale = _reduce([0] + num, g)
+            _, num, scale = _pseudo_divmod([0] + num, g)
             den *= scale
         common = gcd(den, *num)
         if common > 1:

@@ -5,8 +5,10 @@ complement (the knot group with the meridian killed to order d and
 every generator forced to commute with the m-th meridian power),
 decides smooth knotting from the Alexander polynomial under the
 Seiberg-Witten hypothesis flag, and decides topological standardness
-from the ribbon certificate, the homology-circle test, and the
-congruence d = +/-1 mod m.
+from, in this order, the pi1 obstruction (a certificate that the
+group is not Z/d, or at d = 2 and even m a nontrivial Alexander
+polynomial), the ribbon certificate, the homology-circle test, and
+the congruence d = +/-1 mod m.
 """
 
 from __future__ import annotations

@@ -250,40 +250,28 @@ def presentation_of_knot(expr: KnotExpr) -> GroupPresentation:
     """Knot-group presentation of any knot expression.
 
     Mirrors push down to the diagram level (braid letters negated, PD
-    tuples reflected); connected sums are assembled at the presentation
-    level, never diagrammatically.
+    tuples reflected) as a parity carried through one walk of the
+    expression; connected sums are assembled at the presentation level,
+    never diagrammatically.
     """
+    return _presentation(expr, False)
+
+
+def _presentation(expr: KnotExpr, mirrored: bool) -> GroupPresentation:
     if isinstance(expr, Unknot):
         return GroupPresentation(generators=("g1",), relators=(), meridian=1)
     if isinstance(expr, TorusKnot):
-        return wirtinger_from_braid(torus_braid(expr.p, expr.q))
+        expr = torus_braid(expr.p, expr.q)
     if isinstance(expr, Braid):
-        return wirtinger_from_braid(expr)
+        return wirtinger_from_braid(mirror_braid(expr) if mirrored else expr)
     if isinstance(expr, PD):
-        return wirtinger_from_pd(expr)
+        return wirtinger_from_pd(mirror_pd(expr) if mirrored else expr)
     if isinstance(expr, ConnectedSum):
         return presentation_connected_sum(
-            presentation_of_knot(expr.left), presentation_of_knot(expr.right)
+            _presentation(expr.left, mirrored), _presentation(expr.right, mirrored)
         )
     if isinstance(expr, Mirror):
-        return presentation_of_knot(mirror_expr(expr.child))
-    raise TypeError(f"not a knot expression: {expr!r}")
-
-
-def mirror_expr(expr: KnotExpr) -> KnotExpr:
-    """Push a mirror through an expression tree down to the diagrams."""
-    if isinstance(expr, Unknot):
-        return expr
-    if isinstance(expr, TorusKnot):
-        return mirror_braid(torus_braid(expr.p, expr.q))
-    if isinstance(expr, Braid):
-        return mirror_braid(expr)
-    if isinstance(expr, PD):
-        return mirror_pd(expr)
-    if isinstance(expr, ConnectedSum):
-        return ConnectedSum(mirror_expr(expr.left), mirror_expr(expr.right))
-    if isinstance(expr, Mirror):
-        return expr.child
+        return _presentation(expr.child, not mirrored)
     raise TypeError(f"not a knot expression: {expr!r}")
 
 

@@ -99,3 +99,13 @@ def random_knot_exprs(seed, count):
             expr = rt.ConnectedSum(expr, term(2))
         out.append(expr)
     return out
+
+
+def lucas(n):
+    """L_n by fast doubling on Fibonacci pairs (F_k, F_k+1)."""
+    a, b = 0, 1
+    for bit in bin(n)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
+    return 2 * b - a

@@ -112,6 +112,38 @@ def test_torus_alexander_matches_fox_route():
         assert via_fox == rt.torus_alexander(p, q)
 
 
+def _burau_alexander(braid):
+    """Oracle: det(I - B) (1 - t) / (1 - t^s) for B the reduced Burau matrix of an s-strand braid.
+
+    Birman, *Braids, Links and Mapping Class Groups*, section 3.  The
+    matrix of sigma_i is the identity but in row i, which holds t, -t, 1
+    in columns i - 1, i, i + 1; its inverse holds 1, -t^-1, t^-1 there.
+    """
+    one, zero, t = LaurentPoly.one(), LaurentPoly.zero(), LaurentPoly.t_power(1)
+    n = braid.strands - 1
+    b = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    for k in braid.word:
+        i = abs(k) - 1
+        row = [zero] * n
+        entries = (t, -t, one) if k > 0 else (one, -t.reverse(), t.reverse())
+        for j, c in zip((i - 1, i, i + 1), entries):
+            if 0 <= j < n:
+                row = [x + c * y for x, y in zip(row, b[j])]
+        b[i] = row
+    det = rt.laurent_det([[(one if i == j else zero) - x for j, x in enumerate(r)] for i, r in enumerate(b)])
+    return det * (one - t) // (one - LaurentPoly.t_power(braid.strands))
+
+
+def test_alexander_matches_burau():
+    torus = [(2, 3), (2, 5), (3, 4), (3, 5), (2, 7), (4, 5), (3, 7)]
+    for p, q in torus:
+        via_burau = _burau_alexander(rt.torus_braid(p, q))
+        assert via_burau.unit_equal(rt.torus_alexander(p, q)), (p, q)
+    for braid in [rt.torus_braid(p, q) for p, q in torus] + random_knot_braids(29, 60, max_len=12):
+        via_fox = rt.alexander_polynomial(rt.wirtinger_from_braid(braid))
+        assert _burau_alexander(braid).unit_equal(via_fox), braid
+
+
 def test_alexander_matrix_entries():
     # the trefoil's one block is its Fox matrix without the meridian column
     # and without the redundant (last) crossing relator row

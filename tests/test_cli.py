@@ -9,6 +9,8 @@ import time
 import rimtwist as rt
 from rimtwist.cli import build_parser, run
 
+from helpers import lucas
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SRC = pathlib.Path(__file__).parent.parent / "src"
 
@@ -35,6 +37,17 @@ def test_cover_large_d_json():
     code, out, err = _run(["cover", "T(2,3)", "--d", "100000", "--json"])
     assert code == 0 and err == ""
     assert json.loads(out) == {"d": 100000, "order": 3}
+
+
+def test_cover_prints_orders_past_the_int_string_limit():
+    # |Res(t^d - 1, t^2 - 3t + 1)| = L_2d - 2 has 8,360 digits at d = 20,000,
+    # past Python's default limit on int-to-str conversion
+    code, out, err = _run(["cover", "braid(3; 1 -2 1 -2)", "--d", "20000"])
+    assert (code, err) == (0, "")
+    assert out == f"order {lucas(40000) - 2}\n"
+    code, out, err = _run(["cover", "braid(3; 1 -2 1 -2)", "--d", "20000", "--json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"d": 20000, "order": lucas(40000) - 2}
 
 
 def test_each_command_reduces_its_presentation_once(monkeypatch):

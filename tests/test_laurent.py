@@ -6,11 +6,14 @@ import pytest
 from rimtwist.alexander import torus_alexander
 from rimtwist.laurent import (
     LaurentPoly,
+    _pseudo_divmod,
     _resultant,
     laurent_det,
     poly_text,
     resultant_with_cyclotomic,
 )
+
+from helpers import lucas
 
 ONE = LaurentPoly.one()
 T = LaurentPoly.t_power(1)
@@ -64,8 +67,15 @@ def test_div_exact_roundtrip():
 
 
 def test_div_exact_rejects_remainder():
+    assert P(-1, 2, -4, 6) // 2 == P(-1, 1, -2, 3)
+    assert P(0, 2, 3, 1) // P(0, 1, 1) == P(0, 2, 1)
+    assert LaurentPoly.zero() // P(-2, 3, 1) == LaurentPoly.zero()
+    # a remainder; a quotient over Q that is not integral; a divisor of higher degree
+    for num, den in ((P(0, 1, 1, 1), P(0, 1, 1)), (P(0, 1, 1), P(0, 2, 2)), (P(0, 1), P(0, 1, 1))):
+        with pytest.raises(ValueError):
+            num // den
     with pytest.raises(ValueError):
-        P(0, 1, 1, 1) // P(0, 1, 1)  # (1+t+t^2) / (1+t)
+        P(0, 3) // 2
     with pytest.raises(ZeroDivisionError):
         ONE // LaurentPoly.zero()
 
@@ -291,6 +301,67 @@ def _times(a, b):
     return out
 
 
+def _pseudo_divmod_pairs(rng):
+    """Seeded (kind, p, g) pairs for the pseudo-division checks.
+
+    Leading coefficients of g are nonzero in [-6, 6], so many are
+    negative or non-units; "short" has deg p < deg g, "constant" a
+    constant g, "shifted" a p with a zero constant term, and "exact" a
+    p that g divides.
+    """
+    for trial in range(300):
+        kind = ("dense", "short", "constant", "shifted", "exact")[trial % 5]
+        g = _random_poly(rng, rng.randint(1, 6))
+        p = _random_poly(rng, rng.randint(0, 10))
+        if kind == "short":
+            p = _random_poly(rng, rng.randint(0, len(g) - 2))
+        elif kind == "constant":
+            g = [rng.choice((-6, -3, -1, 1, 2, 5))]
+        elif kind == "shifted":
+            p = [0] * rng.randint(1, 3) + p
+        elif kind == "exact":
+            p = _times(_random_poly(rng, rng.randint(0, 5)), g)
+        yield kind, p, g
+
+
+def test_pseudo_divmod_identity():
+    rng = random.Random(71)
+    for kind, p, g in _pseudo_divmod_pairs(rng):
+        q, r, k = _pseudo_divmod(p, g)
+        assert len(r) < len(g) and (not r or r[-1]), (kind, p, g)
+        assert len(q) == max(len(p) - len(g) + 1, 0)
+        qg = _times(q, g) if q else []
+        rhs = [(qg[i] if i < len(qg) else 0) + (r[i] if i < len(r) else 0) for i in range(len(p))]
+        assert [k * x for x in p] == rhs, (kind, p, g)
+        assert k > 0 and abs(g[-1]) ** len(q) % k == 0, (kind, p, g)
+        if kind == "exact" or abs(g[-1]) == 1:
+            assert k == 1, (kind, p, g)
+        if kind == "exact":
+            assert r == [], (p, g)
+        if kind == "short":
+            assert (q, r, k) == ([], p, 1)
+    assert _pseudo_divmod([], [3, 2]) == ([], [], 1)
+
+
+def test_pseudo_divmod_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random(73)
+
+    def poly(coeffs):
+        return sympy.Poly(coeffs[::-1] or [0], t)
+
+    for kind, p, g in _pseudo_divmod_pairs(rng):
+        q, r, k = _pseudo_divmod(p, g)
+        # sympy scales by lc(g)^(deg p - deg g + 1), a multiple of k
+        scale = g[-1] ** max(len(p) - len(g) + 1, 0)
+        assert scale % k == 0, (kind, p, g)
+        quot, rem = sympy.pdiv(poly(p), poly(g))
+        assert quot == poly([x * scale // k for x in q]), (kind, p, g)
+        assert rem == poly([x * scale // k for x in r]), (kind, p, g)
+        assert sympy.prem(poly(p), poly(g)) == rem
+
+
 def _resultant_pairs(rng):
     """Seeded (kind, a, b) pairs for the subresultant oracles.
 
@@ -415,20 +486,10 @@ def test_resultant_sylvester_oracle_random():
             assert resultant_with_cyclotomic(f, d) == _sylvester_resultant(f, d), (f, d)
 
 
-def _lucas(n):
-    """L_n by fast doubling on Fibonacci pairs (F_k, F_k+1)."""
-    a, b = 0, 1
-    for bit in bin(n)[2:]:
-        a, b = a * (2 * b - a), a * a + b * b
-        if bit == "1":
-            a, b = b, a + b
-    return 2 * b - a
-
-
 def test_resultant_large_d_figure_eight():
     # prod over w^d = 1 of (w - phi^2)(w - phi^-2) = 2 - L_2d
     d = 10**5
-    assert resultant_with_cyclotomic(P(0, 1, -3, 1), d) == 2 - _lucas(2 * d)
+    assert resultant_with_cyclotomic(P(0, 1, -3, 1), d) == 2 - lucas(2 * d)
 
 
 def test_resultant_large_d_non_monic():
