@@ -3,10 +3,9 @@
 Homology of the index-d kernel by Reidemeister-Schreier and one integer
 Smith normal form (the abelianization is the case d = 1), low-index
 subgroups, towers of cyclic covers and commutator subgroups over the
-point stabilizers of permutation representations and over the kernels
-of their images, bounded Todd-Coxeter coset enumeration over the
-trivial subgroup (HLT strategy, in-place coincidence handling, the
-merged cosets in a ``wirtinger._root`` forest).
+point stabilizers of permutation representations, bounded Todd-Coxeter
+coset enumeration over the trivial subgroup (HLT strategy, in-place
+coincidence handling, the merged cosets in a ``wirtinger._root`` forest).
 Everything is exact and deterministic; enumeration that hits its coset
 budget reports "exhausted" rather than guessing.
 """
@@ -524,36 +523,7 @@ def low_index_actions(p: GroupPresentation, degree: int) -> Iterator[list[list[i
         beta += 1
 
 
-def _regular_action(action: list[list[int]], limit: int) -> list[list[int]] | None:
-    """The image of a permutation representation acting on itself, or None.
-
-    ``action[j]`` is the permutation of generator j+1.  The image is
-    built by closing the identity under right multiplication, so element
-    k is the k-th one reached breadth-first and the result depends only
-    on the kernel: ``regular[j][k]`` is element k times generator j+1.
-    None when the image has more than ``limit`` elements.
-    """
-    # elements are bytes, not tuples: CPython keeps up to 2,000 freed
-    # tuples of each short length, and on T(3,4) at d = 5 they held
-    # 0.4 MB through the coset enumeration that follows
-    identity = bytes(range(len(action[0])))
-    place = {identity: 0}
-    elements = [identity]
-    regular: list[list[int]] = [[] for _ in action]
-    for e in elements:
-        for perm, row in zip(action, regular):
-            h = bytes(perm[i] for i in e)
-            k = place.get(h)
-            if k is None:
-                if len(elements) == limit:
-                    return None
-                k = place[h] = len(elements)
-                elements.append(h)
-            row.append(k)
-    return regular
-
-
-# The largest index of the kernels and covers that ``cover_tower`` builds
+# The largest index of the covers that ``cover_tower`` builds
 # (its roots are taken at any index), and how many distinct subgroups it
 # takes at most.  The figure-eight's group at d = 5 needs index 330 and
 # 33 subgroups, T(3,4)'s at d = 5 index 90 and 44.
@@ -579,43 +549,35 @@ def cover_tower(
     """H1 of a subgroup in a tower of covers, when it has a free summand.
 
     Starts from the point stabilizers H of ``actions``, transitive
-    actions of G, each at its own index, and from the kernel of each
-    one's image, which is the stabilizer of the identity in the image's
-    regular action (Sims, *Computation with Finitely Presented Groups*,
-    ch. 5).  While H1(H) = sum of Z/t_i is finite, each factor i and
-    each prime q dividing t_i give the subgroup ker(H -> Z/t_i -> Z/q)
-    of index q in H, and when |H1(H)| is composite, [H, H] =
-    ker(H -> H1(H)) is one more; ``_lift_action`` builds their actions
-    from the images of H's Schreier generators (Magnus-Karrass-Solitar,
-    section 2.3).  Subgroups are taken in order of index, each once, and
-    at most ``TOWER_SUBGROUPS`` of them; the kernels and covers it builds
-    have index at most min(``TOWER_INDEX``, budget).  ``_schreier_rows``
-    reads every relator from every point and checks transitivity, so a
-    wrong action raises instead of certifying.  A free summand proves G
-    infinite; None when no subgroup shows one.
+    actions of G, each at its own index.  While H1(H) = sum of Z/t_i is
+    finite, each factor i and each prime q dividing t_i give the
+    subgroup ker(H -> Z/t_i -> Z/q) of index q in H, and when |H1(H)|
+    is composite, [H, H] = ker(H -> H1(H)) is one more; ``_lift_action``
+    builds their actions from the images of H's Schreier generators
+    (Magnus-Karrass-Solitar, section 2.3).  Subgroups are taken in order
+    of index, each once, and at most ``TOWER_SUBGROUPS`` of them; the
+    covers it builds have index at most min(``TOWER_INDEX``, budget).
+    ``_schreier_rows`` reads every relator from every point and checks
+    transitivity, so a wrong action raises instead of certifying.  A free
+    summand proves G infinite; None when no subgroup shows one.
     """
     limit = min(TOWER_INDEX, budget)
     # (index, order of discovery, action, lift): lift is None for one of
-    # ``actions`` and () for the kernel of its image; a cover's action is
-    # kept as its parent's and built by ``_lift_action(action, *lift)`` when taken
+    # ``actions``; a cover's action is kept as its parent's and built by
+    # ``_lift_action(action, *lift)`` when taken
     found = count()
     heap = [(len(a[0]), next(found), a, None) for a in actions]
     heapify(heap)
     seen: set[tuple[int, ...]] = set()
     while heap and len(seen) < TOWER_SUBGROUPS:
         index, _, action, lift = heappop(heap)
-        if lift:
+        if lift is not None:
             action = _lift_action(action, *lift)
         # two routes often reach one subgroup: take it once
         if (key := _stabilizer_key(action)) in seen:
             continue
         seen.add(key)
         rows, ncols, column = _schreier_rows(p.relators, action)
-        # the rows have checked the action, so its image is a quotient of G;
-        # a transitive image of degree n > limit / 2 and at most ``limit``
-        # elements has n of them, so its kernel is the stabilizer just taken
-        if lift is None and 2 * index <= limit and (regular := _regular_action(action, limit)):
-            heappush(heap, (len(regular[0]), next(found), regular, ()))
         h1, images = _homology(rows, ncols)
         if h1.free_rank:
             return h1

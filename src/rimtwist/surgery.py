@@ -141,7 +141,7 @@ class Pi1Verdict:
     of a subgroup in the tower over the index-d kernel K: K itself, a
     commutator subgroup or a cyclic cover), ``infinite-subgroup-homology``
     (the same in a tower over a point stabilizer of a permutation
-    representation of small degree, or over the kernel of its image),
+    representation of small degree),
     ``kernel-homology`` (a nontrivial H1 of K, read once the budget is
     exhausted), ``abelianization-mismatch`` or ``budget-exhausted``.
     """
@@ -291,10 +291,10 @@ def cyclic_verdict(
        group that closes by then pays for none of the steps below.
     4. When that exhausts, ``cover_tower`` from the transitive
        permutation representations of degree at most 9 that one search
-       of ``low_index_actions`` finds: from their point stabilizers and
-       from the kernel of each one's image, up to the same index.  A
-       free summand ends ``infinite-subgroup-homology``, for the reason
-       of step 2.
+       of ``low_index_actions`` finds: from their point stabilizers,
+       each at its own index, through the commutator subgroups and
+       cyclic covers up to the same index.  A free summand ends
+       ``infinite-subgroup-homology``, for the reason of step 2.
     5. Otherwise enumeration starts again with the whole budget, which
        repeats at most a tenth of its work.  Cyclic needs a completed
        enumeration of order d together with abelianization exactly Z/d

@@ -125,9 +125,9 @@ def test_budget_bounds_the_kernel_certificates(monkeypatch):
 
 
 def test_tower_roots_of_large_degree():
-    # the index-d kernel is a root of the tower at any d up to the budget,
-    # and the regular action of a root's image encodes points as bytes:
-    # shift actions on 302 and 260 points must end in a verdict, not exit 2
+    # the index-d kernel K is a root of the tower at any d up to the budget,
+    # however large its index: shift actions on 302 and 260 points must end
+    # in a verdict, not exit 2
     code, out, _ = _run(["pi1", "T(2,3)#mirror(T(2,3))", "--d", "302", "--m", "4"])
     assert (code, out) == (0, "undetermined (infinite-subgroup-homology)\n")
     code, out, _ = _run(["pi1", "braid(3; 1 -2 1 -2)", "--d", "260", "--m", "260"])

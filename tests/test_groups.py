@@ -610,21 +610,16 @@ def test_cyclic_verdict():
         assert rt.cyclic_verdict(trivial, d) == Pi1Verdict("finite", 1, "coset-enumeration")
 
     # the 2-3-7 triangle group is infinite and perfect, so its abelianization
-    # says nothing; the kernel of its map onto PSL(2,7), of order 168, is a
-    # surface group with H1 = Z^6
+    # says nothing; a degree-7 point stabilizer H has H1(H) = Z/2 + Z/2, and
+    # a cyclic cover of [H, H], of index 84, has a free H1; below that index
+    # the tower reaches no subgroup with one, so exhaustion stays inconclusive
     triangle = GroupPresentation(
         ("a", "b"), ((1, 1), (2, 2, 2), (1, 2) * 7), 1
     )
-    assert rt.cyclic_verdict(triangle, 1, budget=500) == Pi1Verdict(
-        "undetermined", None, "infinite-subgroup-homology"
-    )
-    # at budget 100 no image of order 168 is built, but a degree-7 point
-    # stabilizer H has H1(H) = Z/2 + Z/2, and a cyclic cover of [H, H], of
-    # index 84, has a free H1; below that index the tower reaches no
-    # subgroup with one, so exhaustion stays inconclusive
-    assert rt.cyclic_verdict(triangle, 1, budget=100) == Pi1Verdict(
-        "undetermined", None, "infinite-subgroup-homology"
-    )
+    for budget in (500, 100):
+        assert rt.cyclic_verdict(triangle, 1, budget=budget) == Pi1Verdict(
+            "undetermined", None, "infinite-subgroup-homology"
+        )
     assert rt.cyclic_verdict(triangle, 1, budget=83) == Pi1Verdict(
         "undetermined", None, "budget-exhausted"
     )
@@ -848,17 +843,45 @@ def test_finite_groups_are_never_certified_infinite():
         assert cover_tower(group, low_index_actions(group, 9), 10**6) is None, group
 
 
+def _regular_action(action, limit):
+    """The image of a permutation representation acting on itself, or None.
+
+    ``action[j]`` is the permutation of generator j+1.  The image is
+    built by closing the identity under right multiplication, so element
+    k is the k-th one reached breadth-first and the result depends only
+    on the kernel: ``regular[j][k]`` is element k times generator j+1.
+    None when the image has more than ``limit`` elements.
+    """
+    identity = tuple(range(len(action[0])))
+    place = {identity: 0}
+    elements = [identity]
+    regular = [[] for _ in action]
+    for e in elements:
+        for perm, row in zip(action, regular):
+            h = tuple(perm[i] for i in e)
+            k = place.get(h)
+            if k is None:
+                if len(elements) == limit:
+                    return None
+                k = place[h] = len(elements)
+                elements.append(h)
+            row.append(k)
+    return regular
+
+
 def _quotient_kernels(p, actions, limit):
     """H1 of the kernel of a finite quotient of G, when it has a free summand.
 
-    The route that the cover tower's kernel roots replaced: the regular
-    action of each action's image of at most ``limit`` elements, taken
-    once per kernel, and H1 of the stabilizer of the identity there.
-    None when no kernel shows a free summand.
+    The route that the cover tower no longer takes: the kernel of each
+    action's image of at most ``limit`` elements, which is the stabilizer
+    of the identity in the image's regular action (Sims, *Computation
+    with Finitely Presented Groups*, ch. 5), taken once per kernel, and
+    its H1.  The tower climbs from the point stabilizers alone.  None
+    when no kernel shows a free summand.
     """
     seen = set()
     for action in actions:
-        regular = groups._regular_action(action, limit)
+        regular = _regular_action(action, limit)
         if regular is None or (key := tuple(map(tuple, regular))) in seen:
             continue
         seen.add(key)
@@ -871,16 +894,21 @@ def _quotient_kernels(p, actions, limit):
 
 def test_cover_tower_proves_what_the_quotient_kernels_prove():
     # the (2,3,7) triangle group through PSL(2,7), of order 168; the
-    # trefoil at d = 7, 8, 9; and the groups of pi1-enumerate's exhausting
-    # inputs, all with d | m: wherever the kernel of an image of at most
-    # 500 elements has a free H1, the tower over the same actions finds one
+    # trefoil at d = 7, 8, 9; the groups of pi1-enumerate's exhausting
+    # inputs, all with d | m; and the figure-eight at d = 7 and the
+    # trefoil sum at d = 5, 7 and 10, the twist m mod d given beside d:
+    # wherever the kernel of an image of at most 500 elements has a free
+    # H1, the tower from the point stabilizers of the same actions finds one
     triangle = GroupPresentation(("a", "b"), ((1, 1), (2, 2, 2), (1, 2) * 7), 1)
     cases = [triangle] + [_trefoil_quotient(d) for d in (7, 8, 9)]
-    for text, ds in (("T(2,5)", (4, 5)), ("T(3,4)", (3, 4, 5)), ("T(2,3)#mirror(T(2,3))", (2,))):
-        p = rt.presentation_of_knot(rt.parse_knot(text)).reduced
-        cases += [rt.twist_rim_presentation(p, d, 0) for d in ds]
-    fig8 = rt.presentation_of_knot(FIGURE_EIGHT).reduced
-    cases += [rt.twist_rim_presentation(fig8, d, 0) for d in (4, 5)]
+    for knot, dts in (
+        (rt.parse_knot("T(2,5)"), ((4, 0), (5, 0))),
+        (rt.parse_knot("T(3,4)"), ((3, 0), (4, 0), (5, 0))),
+        (rt.parse_knot("T(2,3)#mirror(T(2,3))"), ((2, 0), (5, 0), (7, 0), (10, 5))),
+        (FIGURE_EIGHT, ((4, 0), (5, 0), (7, 0))),
+    ):
+        p = rt.presentation_of_knot(knot).reduced
+        cases += [rt.twist_rim_presentation(p, d, t) for d, t in dts]
     certified = 0
     for group in cases:
         actions = list(low_index_actions(group, 9))
@@ -888,7 +916,7 @@ def test_cover_tower_proves_what_the_quotient_kernels_prove():
             certified += 1
             assert cover_tower(group, actions, 10**6).free_rank > 0, group
     # all but the figure-eight at d = 4, 5 and T(3,4) at d = 5
-    assert certified == 9
+    assert certified == 13
     # the kernels do not certify the finite B3/<<sigma1^d>>, d < 6, and
     # neither does the tower (test_finite_groups_are_never_certified_infinite)
     for d in range(2, 6):
