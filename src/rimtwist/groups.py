@@ -91,22 +91,23 @@ def _split_unit_pivots(
     return pivots, rest, columns
 
 
-def _dense_smith(m: list[list[int]], basis: list[list[int]]) -> list[int]:
+def _dense_smith(m: list[list[int]], basis: list[list[int]] | None) -> list[int]:
     """Nonzero invariant factors of a dense matrix, reducing it in place.
 
     Elementary row/column operations with a minimal-absolute-value
-    pivot.  ``basis`` holds one vector per column of ``m`` and undergoes
-    every column operation, so starting from the identity it ends as V
-    with U·m·V diagonal.
+    pivot.  ``basis``, unless None, holds one vector per column of ``m``
+    and undergoes every column operation, so starting from the identity
+    it ends as V with U·m·V diagonal.
     """
     nrows = len(m)
-    ncols = len(basis)
+    ncols = len(m[0]) if m else 0
     invariants: list[int] = []
 
     def swap_columns(a: int, b: int):
         for row in m:
             row[a], row[b] = row[b], row[a]
-        basis[a], basis[b] = basis[b], basis[a]
+        if basis is not None:
+            basis[a], basis[b] = basis[b], basis[a]
 
     r = 0
     while r < nrows and r < ncols:
@@ -149,7 +150,8 @@ def _dense_smith(m: list[list[int]], basis: list[list[int]]) -> list[int]:
                 if q:
                     for i in range(r, nrows):
                         m[i][j] -= q * m[i][r]
-                    basis[j] = [a - q * b for a, b in zip(basis[j], basis[r])]
+                    if basis is not None:
+                        basis[j] = [a - q * b for a, b in zip(basis[j], basis[r])]
                 if m[r][j] != 0:
                     swap_columns(r, j)
                     dirty = True
@@ -208,21 +210,24 @@ class AbelianInvariants:
 
 
 def _homology(
-    rows: list[dict[int, int]], ncols: int
+    rows: list[dict[int, int]], ncols: int, with_images: bool = True
 ) -> tuple[AbelianInvariants, list[tuple[int, ...]] | None]:
     """Z^ncols modulo sparse relation rows, with the image of each basis vector.
 
-    The images are coordinate tuples over the torsion factors, reduced
-    modulo each; they are None when the group is infinite.
+    The rows are consumed.  The images are coordinate tuples over the
+    torsion factors, reduced modulo each; they are None when the group
+    is infinite, and not computed without ``with_images``.
     """
     pivots, rest, columns = _split_unit_pivots(rows)
-    basis = [[int(i == k) for k in range(len(columns))] for i in range(len(columns))]
+    basis = None
+    if with_images:
+        basis = [[int(i == k) for k in range(len(columns))] for i in range(len(columns))]
     factors = _dense_smith(rest, basis)
     group = AbelianInvariants(
         free_rank=ncols - len(pivots) - len(factors),
         torsion=tuple(t for t in factors if t > 1),
     )
-    if group.free_rank:
+    if group.free_rank or basis is None:
         return group, None
     # U·A·V = D sends dense column k to row k of V, coordinate i modulo D_ii
     coords = [(basis[i], t) for i, t in enumerate(factors) if t > 1]
@@ -337,7 +342,7 @@ def kernel_h1(p: GroupPresentation, d: int) -> AbelianInvariants:
     (Magnus-Karrass-Solitar, section 2.3) goes through ``_homology``.
     """
     rows, ncols, _ = _schreier_rows(p.relators, shift_action(p, d))
-    return _homology(rows, ncols)[0]
+    return _homology(rows, ncols, with_images=False)[0]
 
 
 def abelianization(p: GroupPresentation) -> AbelianInvariants:

@@ -2,12 +2,14 @@
 
 Single variable t, arbitrary-precision integer coefficients, no
 floating point anywhere.  This module also carries the one
-fraction-free (Bareiss) determinant, over Z and over Z[t, t^-1], and the
-resultant against t^d - 1 used by the branched-cover order formula,
-taken by a reduction modulo the polynomial and a subresultant
-remainder sequence.  One integer pseudo-division, ``_pseudo_divmod``,
-does every polynomial division here: the exact quotients of ``//``,
-that reduction, and the remainders of that sequence.
+fraction-free (Bareiss) determinant over Z, which takes a determinant
+over Z[t, t^-1] too once Kronecker substitution has packed the matrix
+into integers, and the resultant against t^d - 1 used by the
+branched-cover order formula, taken by a reduction modulo the
+polynomial and a subresultant remainder sequence.  One integer
+pseudo-division, ``_pseudo_divmod``, does every polynomial division
+here: the exact quotients of ``//``, that reduction, and the
+remainders of that sequence.
 """
 
 from __future__ import annotations
@@ -220,17 +222,62 @@ def laurent_det(
     """Determinant of a square matrix over Z or over Z[t, t^-1].
 
     The entries are all ints or all ``LaurentPoly``; the 0x0 matrix
-    gives the int 1.  Fraction-free Bareiss elimination (Bareiss 1968):
-    every division is exact and every intermediate entry is a minor of
-    the input, so coefficient growth stays polynomial.  A row whose
-    head is already zero is only rescaled.
+    gives the int 1.  Over Z[t, t^-1] the matrix becomes one integer
+    matrix by Kronecker substitution: each row is divided by t to its
+    least exponent, every entry is evaluated at t = 2^B, and the
+    integer determinant is read back as signed base-2^B digits.  The
+    coefficients of the determinant are bounded in absolute value by
+    the product over the rows of the sum of the entries' coefficient
+    1-norms, so 2^(B-1) above that product makes every digit exact.
+    A zero row gives 0 and a 1x1 matrix its entry, with no substitution.
     """
     n = len(matrix)
     if n == 0:
         return 1
-    m = [list(row) for row in matrix]
-    if any(len(row) != n for row in m):
+    if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
+    if not isinstance(matrix[0][0], LaurentPoly):
+        return _bareiss([list(row) for row in matrix])
+    if n == 1:
+        return matrix[0][0]
+    lows = []
+    bound = 1
+    for row in matrix:
+        live = [x for x in row if x]
+        if not live:
+            return LaurentPoly.zero()
+        lows.append(min(x.min_exp for x in live))
+        bound *= sum(abs(c) for x in live for c in x.coeffs)
+    bits = bound.bit_length() + 1
+    packed = []
+    for row, lo in zip(matrix, lows):
+        out = []
+        for x in row:
+            acc = 0
+            for c in reversed(x.coeffs):
+                acc = (acc << bits) + c
+            out.append(acc << (bits * (x.min_exp - lo)) if acc else 0)
+        packed.append(out)
+    value = _bareiss(packed)
+    half = 1 << (bits - 1)
+    mask = (1 << bits) - 1
+    coeffs = []
+    while value:
+        c = ((value + half) & mask) - half
+        coeffs.append(c)
+        value = (value - c) >> bits
+    return LaurentPoly(sum(lows), coeffs)
+
+
+def _bareiss(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, eliminating in place.
+
+    Fraction-free Bareiss elimination (Bareiss 1968): every division is
+    exact and every intermediate entry is a minor of the input, so
+    coefficient growth stays polynomial.  A row whose head is already
+    zero is only rescaled.
+    """
+    n = len(m)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -241,7 +288,7 @@ def laurent_det(
                     sign = -sign
                     break
             else:
-                return m[k][k]  # a zero column: this entry is the zero of the ring
+                return 0
         row_k = m[k]
         pivot = row_k[k]
         tail_k = row_k[k + 1 :]
@@ -255,8 +302,7 @@ def laurent_det(
             else:
                 row_i[k + 1 :] = [pivot * a // prev for a in row_i[k + 1 :]]
         prev = pivot
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+    return sign * m[n - 1][n - 1]
 
 
 def _pseudo_divmod(p: Sequence[int], g: Sequence[int]) -> tuple[list[int], list[int], int]:

@@ -5,7 +5,7 @@ import pytest
 
 import rimtwist as rt
 from rimtwist import LaurentPoly, fox_derivative, poly_text
-from rimtwist.alexander import reduced_alexander_blocks
+from rimtwist.alexander import reduced_alexander_blocks, require_knot_group
 from rimtwist.wirtinger import drop_redundant_crossing_relators
 from helpers import (
     COVER_POOL_KNOTS,
@@ -95,6 +95,82 @@ def test_alexander_rejects_non_knot_presentation():
     t34 = rt.tietze_simplify(rt.presentation_of_knot(rt.parse_knot("T(3,4)")))
     with pytest.raises(ValueError, match="square Alexander blocks"):
         rt.alexander_polynomial(t34)
+
+
+def _accepts(check, p):
+    try:
+        check(p)
+    except ValueError as exc:
+        assert "abelianization" in str(exc) or "exponent" in str(exc), exc
+        return False
+    return True
+
+
+def test_knot_group_certificate_examples():
+    # exponent sums 0 and square blocks, but H1 = Z + Z/3 (Delta(1) = 3),
+    # H1 = Z^2 (Delta(1) = 0), and H1 = Z^2 from a generator no relator
+    # touches (one free column)
+    cases = [
+        (rt.GroupPresentation(("a", "b"), ((-1, -1, -1, 2, 2, 2),), 1), 3, 0),
+        (rt.GroupPresentation(("a", "b"), ((1, 2, -1, -2),), 1), 0, 0),
+        (rt.GroupPresentation(("a", "b", "c"), ((2, -1),), 1), 1, 1),
+    ]
+    for p, at_one, free in cases:
+        blocks, free_columns = reduced_alexander_blocks(p.reduced)
+        det = LaurentPoly.one()
+        for block in blocks:
+            det = det * rt.laurent_det(block)
+        assert (abs(det.evaluate(1)), free_columns) == (at_one, free), p
+        with pytest.raises(ValueError, match="abelianization is not Z"):
+            rt.alexander_polynomial(p)
+        with pytest.raises(ValueError, match="abelianization is not Z"):
+            require_knot_group(p.reduced)
+
+
+def test_alexander_computes_no_abelianization(monkeypatch):
+    def forbidden(p):
+        raise AssertionError("the blocks already certify H1 = Z")
+
+    monkeypatch.setattr(rt.alexander, "abelianization", forbidden)
+    for _, knot in SMALL_CORPUS:
+        rt.alexander_of_knot(knot)
+
+
+def _random_zero_sum_presentation(rng):
+    n = rng.randint(2, 4)
+    relators = []
+    for _ in range(n - 1):
+        word = [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(1, 7))]
+        # bring the exponent sum to 0 with a power of one generator
+        excess = sum(1 if x > 0 else -1 for x in word)
+        g = rng.randint(1, n)
+        word += [-g if excess > 0 else g] * abs(excess)
+        relators.append(tuple(word))
+    return rt.GroupPresentation(tuple(f"g{i}" for i in range(1, n + 1)), tuple(relators), rng.randint(1, n))
+
+
+def test_knot_group_certificate_agrees_with_abelianization():
+    # the Fox-matrix certificate of alexander_polynomial (exponent sums 0,
+    # no free column, Delta(1) = +-1) accepts exactly the presentations
+    # whose abelianization is Z, wherever the blocks are square
+    presentations = []
+    for knot in [k for _, k in SMALL_CORPUS] + random_knot_exprs(23, 12):
+        p = rt.presentation_of_knot(knot)
+        presentations += [dataclasses.replace(p, meridian=m) for m in range(1, p.generator_count + 1)]
+    rng = random.Random(29)
+    while len(presentations) < 600:
+        p = _random_zero_sum_presentation(rng)
+        try:
+            reduced_alexander_blocks(p.reduced)
+        except ValueError:  # blocks that are not square
+            continue
+        presentations.append(p)
+    outcomes = {True: 0, False: 0}
+    for p in presentations:
+        accepted = _accepts(rt.alexander_polynomial, p)
+        assert accepted == _accepts(require_knot_group, p.reduced), p
+        outcomes[accepted] += 1
+    assert min(outcomes.values()) > 100, outcomes
 
 
 def test_torus_alexander_examples():

@@ -55,8 +55,15 @@ def _snf_oracle(mat, ncols):
 
 
 def _smith(mat, ncols):
-    """H1 of Z^ncols modulo the rows of a dense matrix, by ``_homology``."""
-    return _homology([{j: v for j, v in enumerate(row) if v} for row in mat], ncols)[0]
+    """H1 of Z^ncols modulo the rows of a dense matrix, by ``_homology``.
+
+    Taken with the images, as ``cover_tower`` takes it, and without them,
+    as ``kernel_h1`` does; both must give one group.
+    """
+    group, _ = _homology([{j: v for j, v in enumerate(row) if v} for row in mat], ncols)
+    bare = _homology([{j: v for j, v in enumerate(row) if v} for row in mat], ncols, with_images=False)
+    assert bare == (group, None), mat
+    return group
 
 
 def _from_factors(factors, ncols):

@@ -140,6 +140,82 @@ def test_laurent_det_edge_cases():
     assert laurent_det([row, row]) == LaurentPoly.zero()
 
 
+def _random_laurent_matrix(rng, n, kind):
+    """A seeded n x n matrix over Z[t, t^-1] that stresses the Kronecker decoding.
+
+    Entries lie in exponents -20..20 with up to 31 terms, coefficients up
+    to 10^6 in absolute value and about one in twenty of them +-2^70.
+    "zero-row" and "zero-column" zero one row or column, "unit-row" makes
+    one row a lone +-t^k, and "singular" makes the last row a
+    Z[t, t^-1]-combination of two earlier ones.
+    """
+
+    def coeff():
+        size = 2**70 if rng.random() < 0.05 else rng.randint(1, 10**6)
+        return rng.choice((-1, 1)) * size
+
+    def entry():
+        if rng.random() < 0.2:
+            return LaurentPoly.zero()
+        length = rng.randint(1, rng.choice((3, 31)))
+        return P(rng.randint(-20, 21 - length), *[coeff() for _ in range(length)])
+
+    m = [[entry() for _ in range(n)] for _ in range(n)]
+    i = rng.randrange(n)
+    if kind == "zero-row":
+        m[i] = [LaurentPoly.zero()] * n
+    elif kind == "zero-column":
+        for row in m:
+            row[i] = LaurentPoly.zero()
+    elif kind == "unit-row":
+        m[i] = [LaurentPoly.zero()] * n
+        m[i][rng.randrange(n)] = P(rng.randint(-20, 20), rng.choice((-1, 1)))
+    elif kind == "singular" and n > 1:
+        a, b = rng.randrange(n - 1), rng.randrange(n - 1)
+        ca = P(rng.randint(-3, 3), *[rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
+        cb = P(rng.randint(-3, 3), rng.randint(-3, 3))
+        m[-1] = [ca * x + cb * y for x, y in zip(m[a], m[b])]
+    return m
+
+
+LAURENT_MATRIX_KINDS = ("dense", "zero-row", "zero-column", "unit-row", "singular")
+
+
+def test_laurent_det_kronecker_against_cofactor_expansion():
+    rng = random.Random(67)
+    nonzero = 0
+    for trial in range(100):
+        kind = LAURENT_MATRIX_KINDS[trial % len(LAURENT_MATRIX_KINDS)]
+        m = _random_laurent_matrix(rng, 1 + trial % 6, kind)
+        det = laurent_det(m)
+        assert det == _det_cofactor([row[:] for row in m]), (kind, m)
+        if kind in ("zero-row", "zero-column") or kind == "singular" and len(m) > 1:
+            assert det == LaurentPoly.zero(), (kind, m)
+        nonzero += bool(det)
+    assert nonzero > 30
+
+
+def test_laurent_det_kronecker_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    ring = sympy.ZZ[sympy.symbols("t")]
+    rng = random.Random(71)
+    for trial, kind in enumerate(LAURENT_MATRIX_KINDS):
+        n = 7 + trial % 4
+        m = _random_laurent_matrix(rng, n, kind)
+        # over Z[t]: every entry times t^-low, so the determinant times t^(-n low)
+        low = min(x.min_exp for row in m for x in row if x)
+        rows = [
+            [ring.ring.from_dict({(x.min_exp - low + i,): c for i, c in enumerate(x.coeffs)}) for x in row]
+            for row in m
+        ]
+        det = DomainMatrix(rows, (n, n), ring).det()
+        terms = {k: c for (k,), c in det.to_dict().items()}
+        expected = LaurentPoly(n * low, [int(terms.get(k, 0)) for k in range(max(terms, default=-1) + 1)])
+        assert laurent_det(m) == expected, (kind, m)
+
+
 def test_int_det_known():
     assert laurent_det([]) == 1
     assert laurent_det([[7]]) == 7
