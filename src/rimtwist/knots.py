@@ -9,9 +9,7 @@ Grammar (whitespace insignificant, ``#`` left-associative)::
           | 'braid(s; w1 w2 ...)'
           | 'pd((a,b,c,d),...)'
 
-PD tuples follow the standard convention: ``(a,b,c,d)`` lists the arc
-labels around a crossing counterclockwise, starting from the incoming
-under-strand.
+``PD`` states the rules of a PD code and refuses a code that breaks one.
 """
 
 from __future__ import annotations
@@ -90,24 +88,70 @@ class Braid:
 
 @dataclass(frozen=True)
 class PD:
+    """A PD code, and the one owner of the rules that a valid code meets.
+
+    Each crossing ``(a, b, c, d)`` lists its edge labels counterclockwise
+    from the incoming under-strand.  The labels are 1..2n, numbered along
+    the knot, each appearing twice, so the under-strand runs a -> c = a + 1
+    (mod 2n) and the over-strand b -> d or d -> b (``over_strand``).  Every
+    edge enters exactly one crossing, and the crossings glued along their
+    labels, in their slots' cyclic order, have n + 2 faces (Euler), so a
+    virtual code is refused.  The empty code is the unknot.
+    """
+
     crossings: tuple[tuple[int, int, int, int], ...]
 
     def __post_init__(self):
         crossings = tuple(tuple(c) for c in self.crossings)
         object.__setattr__(self, "crossings", crossings)
-        counts: dict[int, int] = {}
-        for c in crossings:
-            if len(c) != 4:
-                raise KnotSemanticError("PD crossings must be 4-tuples")
-            for a in c:
-                if a < 1:
-                    raise KnotSemanticError("PD arc labels must be positive")
-                counts[a] = counts.get(a, 0) + 1
-        bad = sorted(a for a, n in counts.items() if n != 2)
-        if bad:
+        n = len(crossings)
+        if any(len(c) != 4 for c in crossings):
+            raise KnotSemanticError("PD crossings must be 4-tuples")
+        if sorted(a for c in crossings for a in c) != sorted(2 * list(range(1, 2 * n + 1))):
             raise KnotSemanticError(
-                f"PD arc labels must appear exactly twice; offending labels {bad}"
+                "PD edge labels must be exactly 1..2n, each appearing exactly twice"
             )
+        entered = [0] * (2 * n + 1)
+        for c in crossings:
+            over_in, over_out, _ = self.over_strand(c)
+            if c[2] != c[0] % (2 * n) + 1 or over_out != over_in % (2 * n) + 1:
+                raise KnotSemanticError(f"PD crossing {c} breaks the orientation along 1..2n")
+            entered[c[0]] += 1
+            entered[over_in] += 1
+        if twice := [e for e in range(1, 2 * n + 1) if entered[e] > 1]:
+            raise KnotSemanticError(f"PD edge {twice[0]} enters two crossings, not exactly one")
+        # faces: leave a slot along its edge, then turn to the next slot counterclockwise
+        slots: dict[int, list[int]] = {}
+        for i, c in enumerate(crossings):
+            for j, a in enumerate(c):
+                slots.setdefault(a, []).append(4 * i + j)
+        other = [0] * (4 * n)
+        for u, v in slots.values():
+            other[u], other[v] = v, u
+        seen = [False] * (4 * n)
+        faces = 0
+        for start in range(4 * n):
+            faces += not seen[start]
+            k = start
+            while not seen[k]:
+                seen[k] = True
+                k = other[k] - other[k] % 4 + (other[k] + 1) % 4
+        if n and faces != n + 2:
+            raise KnotSemanticError(
+                f"PD code is not planar (a virtual code): {faces} faces, where a diagram "
+                f"of {n} crossings has {n + 2}"
+            )
+
+    def over_strand(self, crossing: tuple[int, int, int, int]) -> tuple[int, int, int]:
+        """(in, out, sign) of the over-strand: b -> d, sign -1, if d follows b.
+
+        Else d -> b, sign +1.  On one crossing b and d follow each other,
+        and the over-strand enters at the one that is not a.
+        """
+        a, b, _, d = crossing
+        if d == b % (2 * len(self.crossings)) + 1 and b != a:
+            return b, d, -1
+        return d, b, 1
 
 
 KnotExpr = Unknot | TorusKnot | Mirror | ConnectedSum | Braid | PD

@@ -17,6 +17,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from math import gcd
 
+# the largest remainder of t^d - 1 modulo delta, in bits of its leading
+# numerator or its denominator, that ``resultant_with_cyclotomic`` carries on
+REMAINDER_BITS = 1 << 21
+
 
 class LaurentPoly:
     """An element of Z[t, t^-1].
@@ -409,6 +413,12 @@ def resultant_with_cyclotomic(delta: LaurentPoly, d: int) -> int:
     the subresultant remainder sequence of ``_resultant`` (Collins 1967;
     Cohen, Algorithm 3.3.7) in O(e^2) coefficient steps.  The whole
     costs O(e^2 log d).  For d < e nothing is reduced and R = t^d - 1.
+
+    Raises ValueError once the remainder's leading numerator or its
+    denominator passes ``REMAINDER_BITS`` bits, which happens only when
+    delta has a root off the unit circle or c != +-1, and then the value
+    has Theta(d) digits: for t^2 - 3t + 1 the remainder has 1.4 * 10^6
+    bits at d = 10^6, where the computation takes seconds.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -427,6 +437,11 @@ def resultant_with_cyclotomic(delta: LaurentPoly, d: int) -> int:
         if bit == "1":
             _, num, scale = _pseudo_divmod([0] + num, g)
             den *= scale
+        if max(num[-1].bit_length(), den.bit_length()) > REMAINDER_BITS:
+            raise ValueError(
+                f"t^{d} - 1 modulo {delta.normalize()} passes {REMAINDER_BITS} bits; "
+                "the resultant is too large to compute"
+            )
         common = gcd(den, *num)
         if common > 1:
             num = [x // common for x in num]

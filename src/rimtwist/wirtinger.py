@@ -26,7 +26,6 @@ from .knots import (
     Braid,
     ConnectedSum,
     KnotExpr,
-    KnotSemanticError,
     Mirror,
     TorusKnot,
     Unknot,
@@ -185,45 +184,20 @@ def wirtinger_from_braid(braid: Braid) -> GroupPresentation:
 
 
 def wirtinger_from_pd(code: PD) -> GroupPresentation:
-    """Wirtinger presentation from a PD code.
+    """Wirtinger presentation from a PD code, valid by construction (``PD``).
 
-    Edge labels must run 1..2n in traversal order (the standard PD
-    convention), which fixes the orientation: the under-strand enters
-    at the first slot and leaves at the third, and the over-strand's
-    incoming edge is the one whose successor is also on the crossing.
+    Edge e is arc id e - 1; each over-strand joins its two edges into
+    one arc, and the meridian is the arc of edge 1.
     """
     n = len(code.crossings)
     if n == 0:
         return GroupPresentation(generators=("g1",), relators=(), meridian=1)
-    labels = sorted({a for c in code.crossings for a in c})
-    if labels != list(range(1, 2 * n + 1)):
-        raise KnotSemanticError(
-            "PD edge labels must be exactly 1..2n (sequential along the knot)"
-        )
-
-    def succ(e: int) -> int:
-        return e % (2 * n) + 1
-
     parent = list(range(2 * n))
-    oriented: list[tuple[int, int, int, int]] = []  # (over_in, under_in, under_out, sign)
-    for (a, b, c, d) in code.crossings:
-        if succ(a) != c:
-            raise KnotSemanticError(
-                f"inconsistent orientation or multi-component code: under-strand "
-                f"{a}->{c} is not sequential"
-            )
-        if succ(b) == d:
-            over_in, over_out, sign = b, d, -1
-        elif succ(d) == b:
-            over_in, over_out, sign = d, b, 1
-        else:
-            raise KnotSemanticError(
-                f"inconsistent orientation or multi-component code: over-strand "
-                f"{b}/{d} is not sequential"
-            )
+    raw: list[tuple[int, int, int, int]] = []
+    for crossing in code.crossings:
+        over_in, over_out, sign = code.over_strand(crossing)
         parent[_root(parent, over_in - 1)] = _root(parent, over_out - 1)
-        oriented.append((over_in, a, c, sign))
-    raw = [(o - 1, a - 1, c - 1, sign) for (o, a, c, sign) in oriented]
+        raw.append((over_in - 1, crossing[0] - 1, crossing[2] - 1, sign))
     return _finish_presentation(parent, raw, 0)
 
 
@@ -284,16 +258,25 @@ def drop_redundant_crossing_relators(p: GroupPresentation) -> GroupPresentation:
     """``p`` without the redundant crossing relator of each diagram it was built from.
 
     Crossing relators whose generators connect, a class of
-    ``_components``, are one diagram's Wirtinger relators when they
-    number as many as those generators (one crossing per arc), and any
-    one of them follows from the others, so the last is dropped.  Other
-    relators, such as a connected sum's meridian identification, are kept.
+    ``_components``, are one diagram's Wirtinger relators when each of
+    those generators is the incoming arc of exactly one of them and the
+    outgoing arc of exactly one, as the arcs of a knot diagram are; any
+    one of them then follows from the others, so the last is dropped.
+    The rule reads the relators' shape only, so it takes them to come
+    from a planar diagram, as every presentation the package builds
+    does.  Other relators, such as a connected sum's meridian
+    identification, are kept.
     """
     supports = [
         [abs(x) - 1 for x in r] if _is_crossing_relator(r) else [] for r in p.relators
     ]
     classes = _components(p.generator_count, supports)
-    dropped = {rows[-1] for rows, gens in classes if len(rows) == len(gens)}
+    rels = p.relators
+    dropped = {
+        rows[-1]
+        for rows, gens in classes
+        if sorted(rels[i][1] - 1 for i in rows) == gens == sorted(-rels[i][3] - 1 for i in rows)
+    }
     return replace(p, relators=tuple(r for i, r in enumerate(p.relators) if i not in dropped))
 
 

@@ -65,6 +65,43 @@ def random_knot_braids(seed, count, max_len=8, max_strands=4):
     return out
 
 
+def braid_pd(braid):
+    """PD code of a braid closure, edges numbered 1..2n along the knot.
+
+    Strands run down, position i left of i + 1; the closure identifies
+    each bottom segment with the top one of its position.  Around each
+    crossing the slots read top-right, bottom-right, bottom-left,
+    top-left, so sigma_i, whose strand at position i passes over, gives
+    a crossing whose over-strand runs d -> b, the braid route's sign.
+    """
+    s = braid.strands
+    parent = list(range(s))  # segment j enters position j at the top
+    current = list(range(s))
+    ends = []  # per crossing: (top-left, top-right, bottom-left, bottom-right) segments
+    for k in braid.word:
+        i = abs(k) - 1
+        left, right = len(parent), len(parent) + 1
+        parent += [left, right]
+        ends.append((current[i], current[i + 1], left, right))
+        current[i], current[i + 1] = left, right
+    for j in range(s):
+        parent[current[j]] = j
+    root = [parent[x] if parent[x] < s else x for x in range(len(parent))]
+    # a strand entering at the top left leaves at the bottom right, and vice versa
+    leave = {root[tl]: root[br] for tl, _, _, br in ends}
+    leave.update((root[tr], root[bl]) for _, tr, bl, _ in ends)
+    label = {}
+    seg = root[ends[0][2]]
+    while seg not in label:
+        label[seg] = len(label) + 1
+        seg = leave[seg]
+    out = []
+    for k, (tl, tr, bl, br) in zip(braid.word, ends):
+        tl, tr, bl, br = (label[root[x]] for x in (tl, tr, bl, br))
+        out.append((tr, br, bl, tl) if k > 0 else (tl, tr, br, bl))
+    return rt.PD(tuple(out))
+
+
 def random_knot_exprs(seed, count):
     """Left-associated expression trees for parser round-trip checks."""
     rng = random.Random(seed)

@@ -238,6 +238,9 @@ def test_error_exit_codes():
 
     code, _, err = _run(["alexander", "T(2"])
     assert code == 2 and "syntax error" in err
+    assert _run(["alexander", "T(2,x)"]) == (
+        2, "", "error: syntax error at byte 4: expected an integer\n"
+    )
 
     code, _, err = _run(["classify", "T(2,3)", "--d", "2", "--m", "2", "--cp2"])
     assert code == 2 and "cp2" in err  # degree-2 curves are refused
@@ -266,6 +269,42 @@ def test_error_exit_codes():
     assert code == 2
     code, _, _ = _run(["nonsense"])
     assert code == 2
+
+
+def test_invalid_pd_codes_exit_2_on_every_command():
+    # a code in which edge 1 enters both crossings (its group would be Z + Z),
+    # and the virtual trefoil, whose Gauss code is not planar
+    for knot, rule in (
+        ("pd((1,3,2,4),(3,1,4,2))", "PD edge 1 enters two crossings"),
+        ("pd((3,1,4,2),(4,2,1,3))", "PD code is not planar"),
+    ):
+        for argv in (
+            ["alexander", knot],
+            ["pi1", knot, "--d", "3", "--m", "3"],
+            ["cover", knot, "--d", "3"],
+            ["classify", knot, "--d", "5", "--m", "5"],
+        ):
+            code, out, err = _run(argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: " + rule), (argv, err)
+
+
+def test_cover_order_size_is_bounded():
+    # the figure-eight's order has about 0.29 d digits; past REMAINDER_BITS the
+    # reduction stops within its first steps, at any d
+    start = time.perf_counter()
+    for d in ("4000000", "1000000000"):
+        code, out, err = _run(["cover", "braid(3; 1 -2 1 -2)", "--d", d])
+        assert (code, out) == (2, "") and "passes 2097152 bits" in err
+    assert time.perf_counter() - start < 10
+    # a knot whose Alexander roots are roots of unity has small orders at any d
+    assert _run(["cover", "T(2,3)", "--d", "1000000000"]) == (0, "order 3\n", "")
+
+
+def test_trivial_alexander_polynomial_gives_no_smooth_evidence():
+    code, out, err = _run(["classify", "unknot", "--d", "3", "--m", "2", "--sw"])
+    assert (code, err) == (0, "")
+    assert "smoothly knotted: no-evidence (Alexander polynomial is trivial)\n" in out
 
 
 def test_argparse_output_goes_to_run_streams():

@@ -14,7 +14,7 @@ from rimtwist import (
     parse_knot,
     render,
 )
-from helpers import random_knot_exprs
+from helpers import FIGURE_EIGHT_PD, TREFOIL_PD, random_knot_exprs
 
 
 def test_parse_torus_knot():
@@ -87,6 +87,41 @@ def test_pd_label_validation():
         rt.PD(((1, 2, 3, 4), (1, 2, 3, 5)))
     with pytest.raises(KnotSemanticError):
         rt.PD(((0, 1, 2, 3),))
+
+
+def test_pd_passage_rule():
+    # labels and orientation hold, but edge 1 enters both crossings (under
+    # at the first, over at the second) and edge 2 enters none
+    with pytest.raises(KnotSemanticError, match="PD edge 1 enters two crossings"):
+        rt.PD(((1, 3, 2, 4), (3, 1, 4, 2)))
+    with pytest.raises(KnotSemanticError, match="enters two crossings"):
+        parse_knot("pd((1,3,2,4),(3,1,4,2))")
+
+
+def test_pd_planarity():
+    # the virtual trefoil: a non-planar Gauss code (Kauffman, "Virtual knot
+    # theory", 1999) whose crossings glue into 2 faces, not 4
+    with pytest.raises(KnotSemanticError, match=r"not planar \(a virtual code\): 2 faces"):
+        rt.PD(((3, 1, 4, 2), (4, 2, 1, 3)))
+    with pytest.raises(KnotSemanticError, match="not planar"):
+        parse_knot("mirror(pd((3,1,4,2),(4,2,1,3)))")
+    # the planar codes and their mirrors pass: TREFOIL_PD has 5 faces, FIGURE_EIGHT_PD 6
+    for code in (TREFOIL_PD, FIGURE_EIGHT_PD):
+        assert rt.mirror_pd(rt.mirror_pd(code)) == code
+    # every one-crossing code is a kink of the unknot; the empty code is the unknot
+    for code in ((1, 1, 2, 2), (2, 2, 1, 1), (1, 2, 2, 1), (2, 1, 1, 2)):
+        p = rt.wirtinger_from_pd(rt.PD((code,)))
+        assert rt.abelianization(p) == rt.AbelianInvariants(1, ())
+    assert rt.PD(()).crossings == ()
+
+
+def test_pd_over_strand():
+    assert [TREFOIL_PD.over_strand(c) for c in TREFOIL_PD.crossings] == [
+        (4, 5, -1), (6, 1, -1), (2, 3, -1)
+    ]
+    # on one crossing b and d follow each other; the over-strand enters at the one that is not a
+    assert rt.PD(((1, 2, 2, 1),)).over_strand((1, 2, 2, 1)) == (2, 1, -1)
+    assert rt.PD(((1, 1, 2, 2),)).over_strand((1, 1, 2, 2)) == (2, 1, 1)
 
 
 def test_braid_letter_validation():

@@ -3,8 +3,10 @@ from math import gcd
 
 import pytest
 
+import rimtwist.laurent
 from rimtwist.alexander import torus_alexander
 from rimtwist.laurent import (
+    REMAINDER_BITS,
     LaurentPoly,
     _pseudo_divmod,
     _resultant,
@@ -48,6 +50,15 @@ def test_mul_commutes_with_evaluation():
         for x in (1, -1):
             assert (f * g).evaluate(x) == f.evaluate(x) * g.evaluate(x)
             assert (f + g).evaluate(x) == f.evaluate(x) + g.evaluate(x)
+
+
+def test_evaluate_refuses_negative_powers_at_non_units():
+    f = P(-1, 1, 2)  # t^-1 + 2
+    assert (f.evaluate(1), f.evaluate(-1)) == (3, 1)
+    assert P(2, 1, 2).evaluate(3) == 9 + 2 * 27
+    for x in (0, 2, -3):
+        with pytest.raises(ValueError, match="negative powers at non-unit"):
+            f.evaluate(x)
 
 
 def test_reverse_is_involution():
@@ -566,6 +577,24 @@ def test_resultant_large_d_figure_eight():
     # prod over w^d = 1 of (w - phi^2)(w - phi^-2) = 2 - L_2d
     d = 10**5
     assert resultant_with_cyclotomic(P(0, 1, -3, 1), d) == 2 - lucas(2 * d)
+
+
+def test_resultant_remainder_size_is_bounded(monkeypatch):
+    # the figure-eight's remainder grows by about 1.39 bits a step of d, so it
+    # passes 2^21 bits before d = 2 * 10^6, and a huge d stops as early
+    assert REMAINDER_BITS == 1 << 21
+    for d in (2 * 10**6, 10**12):
+        with pytest.raises(ValueError, match="t\\^2 - 3t \\+ 1 passes 2097152 bits"):
+            resultant_with_cyclotomic(P(0, 1, -3, 1), d)
+    # roots of unity keep the remainder small at any d
+    assert resultant_with_cyclotomic(P(0, 1, -1, 1), 10**12) == 3
+    # 2t^2 - 3t + 2 has its roots on the unit circle, but its remainder's
+    # denominator grows by 1 bit a step of d
+    below = resultant_with_cyclotomic(P(0, 2, -3, 2), 4000)
+    monkeypatch.setattr(rimtwist.laurent, "REMAINDER_BITS", 1 << 12)
+    assert resultant_with_cyclotomic(P(0, 2, -3, 2), 4000) == below
+    with pytest.raises(ValueError, match="passes 4096 bits"):
+        resultant_with_cyclotomic(P(0, 2, -3, 2), 5000)
 
 
 def test_resultant_large_d_non_monic():

@@ -5,7 +5,14 @@ import pytest
 
 import rimtwist as rt
 from rimtwist import GroupPresentation
-from helpers import FIGURE_EIGHT, FIGURE_EIGHT_PD, TREFOIL_PD, TREFOIL_SUM, random_knot_braids
+from helpers import (
+    FIGURE_EIGHT,
+    FIGURE_EIGHT_PD,
+    TREFOIL_PD,
+    TREFOIL_SUM,
+    braid_pd,
+    random_knot_braids,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -58,6 +65,22 @@ def test_pd_presentations():
 
     empty = rt.wirtinger_from_pd(rt.PD(()))
     assert empty.generator_count == 1 and empty.relators == ()
+
+
+def test_pd_codes_of_braid_closures():
+    # every closure's PD code is valid, and its Wirtinger presentation has the
+    # braid route's Alexander polynomial, crossing count and crossing signs
+    for b in random_knot_braids(seed=17, count=200, max_len=10, max_strands=5):
+        code = braid_pd(b)
+        p, q = rt.wirtinger_from_pd(code), rt.wirtinger_from_braid(b)
+        assert rt.alexander_polynomial(p).unit_equal(rt.alexander_polynomial(q)), (b, code)
+        assert sorted(r[0] > 0 for r in p.relators) == sorted(r[0] > 0 for r in q.relators)
+    trefoil = braid_pd(rt.Braid(2, (1, 1, 1)))
+    assert trefoil == rt.PD(((6, 4, 1, 3), (4, 2, 5, 1), (2, 6, 3, 5)))
+    # the same relators as the braid route, in another order
+    assert set(rt.wirtinger_from_pd(trefoil).relators) == set(
+        rt.wirtinger_from_braid(rt.Braid(2, (1, 1, 1))).relators
+    )
 
 
 def test_pd_rejects_inconsistent_orientation():
@@ -139,6 +162,19 @@ def test_mirror_expr_pushdown():
     e = rt.parse_knot("mirror(T(2,3)#mirror(braid(2; 1 1 1)))")
     by_hand = rt.ConnectedSum(rt.Braid(2, (-1, -1, -1)), rt.Braid(2, (1, 1, 1)))
     assert rt.presentation_of_knot(e) == rt.presentation_of_knot(by_hand)
+
+
+def test_reduced_keeps_relators_that_are_not_redundant():
+    # two crossing-shaped relators on two generators that present Z, yet no
+    # generator but b is an outgoing arc, so neither relator is redundant
+    p = GroupPresentation(("a", "b"), ((1, 2, -1, -2), (1, 1, -1, -2)))
+    assert p.reduced == GroupPresentation(("a",), ())
+    assert rt.alexander_polynomial(p) == rt.LaurentPoly.one()
+    assert rt.branched_cover_structure(p, 3) == rt.AbelianInvariants(0, ())
+    verdict = rt.surgery.determine_pi1(p, 3, 3, 10_000)[0]
+    assert (verdict.kind, verdict.order) == ("cyclic", 3)
+    unknot = rt.presentation_of_knot(rt.Unknot())
+    assert verdict == rt.surgery.determine_pi1(unknot, 3, 3, 10_000)[0]
 
 
 def test_drop_redundant_crossing_relators():
