@@ -3,6 +3,10 @@
 For each knot below, each d = 2..12 and each twist t = m mod d, the
 verdict of ``cyclic_verdict`` on the twist-rim group of the knot's
 reduced presentation, at the default coset budget: 539 groups in all.
+The twist-rim group is built here as the paper constructs it, so the
+grid is the oracle for ``determine_pi1``, which decides the same group
+on its quotient by mu^gcd(d, t) and never builds it; a test in
+tests/test_surgery.py checks the golden file against that rule.
 Prints how many each certificate decided, the groups that no
 certificate decides, and the five slowest verdicts, then compares
 every verdict with tests/golden/verdict_grid.txt and exits 1 on any

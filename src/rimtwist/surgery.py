@@ -1,8 +1,8 @@
 """Classification of twist-surgered surfaces.
 
-Builds the fundamental-group presentation of the surgered-surface
-complement (the knot group with the meridian killed to order d and
-every generator forced to commute with the m-th meridian power),
+Decides the fundamental group of the surgered-surface complement (the
+knot group with mu^d killed and every generator commuting with mu^m,
+``twist_rim_presentation``) on its central quotient by mu^gcd(d, m),
 decides smooth knotting from the Alexander polynomial under the
 Seiberg-Witten hypothesis flag, and decides topological standardness
 from, in this order, the pi1 obstruction (a certificate that the
@@ -14,11 +14,10 @@ the congruence d = +/-1 mod m.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 
-from .alexander import alexander_polynomial, require_knot_group
+from .alexander import _require_zero_exponent_sums, alexander_polynomial
 from .covers import branched_cover_order, order_value
 from .groups import (
     DEFAULT_COSET_BUDGET,
@@ -71,7 +70,7 @@ def congruent_pm1(d: int, m: int) -> bool:
 
 
 def twist_rim_presentation(p: GroupPresentation, d: int, m: int) -> GroupPresentation:
-    """Fundamental group of the surgered-surface complement.
+    """Fundamental group of the surgered-surface complement, as constructed.
 
     Extends the knot-group presentation by mu^d and, for every
     non-meridian generator g, the twist-invariance relator
@@ -80,9 +79,8 @@ def twist_rim_presentation(p: GroupPresentation, d: int, m: int) -> GroupPresent
     when mu^m commutes with each generator, so the construction is valid
     on any generating set that contains the meridian, Wirtinger or
     Tietze-reduced.  Given mu^d, mu^m = mu^t, so t gives the same group
-    with shorter relators, and none at all when d divides m; coset
-    enumeration closes sooner on them, and ``low_index_actions`` scans
-    relators letter by letter.
+    with shorter relators.  This is the paper's construction and the
+    tests' oracle; ``determine_pi1`` decides the group on a quotient.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -91,8 +89,7 @@ def twist_rim_presentation(p: GroupPresentation, d: int, m: int) -> GroupPresent
         raise ValueError("presentation has no meridian generator")
     mu = p.meridian
     twist = m % d
-    relators = list(p.relators)
-    relators.append(power(mu, d))
+    relators = [*p.relators, power(mu, d)]
     for j in range(1, n + 1):
         if j != mu and twist:
             relators.append((-j,) + power(mu, -twist) + (j,) + power(mu, twist))
@@ -338,14 +335,15 @@ def determine_pi1(
     """Pi1 verdict plus its ``proves_not_cyclic``.
 
     The pair stays only because ``perfbench/tracing.py`` reads
-    ``result[0]``.  Outside the congruence d = +/-1 mod m, the twist-rim
-    group is built on ``p.reduced`` (``GroupPresentation.reduced``), so
-    ``budget`` counts the cosets of a presentation on fewer generators
-    than the Wirtinger one.  When ``p`` presents a knot group
-    (``require_knot_group``), the twist-rim group maps onto Z/d, so its
-    order is at least d; for d > budget no table can close, and the
-    verdict is ``budget-exhausted``, as ``cyclic_verdict`` would find,
-    without building the d-letter relator mu^d.
+    ``result[0]``.  Outside the congruence d = +/-1 mod m, the group G of
+    ``twist_rim_presentation`` is decided on G_g = G_K/<<mu^g>>, with
+    g = gcd(d, m) and G_K on ``p.reduced``.  With t = m mod d, mu^t and
+    mu^d are central (Zeeman 1965), so is mu^g = (mu^t)^a (mu^d)^b for
+    at + bd = g, and G/<mu^g> = G_g.  Every relator has exponent sum 0
+    (else ValueError), so G maps onto Z/d, every generator to 1, and mu^g
+    has order d/g: |G| = (d/g)|G_g|, and G is finite or Z/d exactly when
+    G_g is finite or Z/g.  ``budget`` counts the cosets of G_g, at least
+    g of them: for g > budget the verdict is ``budget-exhausted``.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -358,12 +356,14 @@ def determine_pi1(
 def _pi1_verdict(p: GroupPresentation, d: int, m: int, budget: int) -> Pi1Verdict:
     if congruent_pm1(d, m):
         return Pi1Verdict("cyclic", d, "congruence")
-    if d > budget:
-        with suppress(ValueError):
-            require_knot_group(p)
-            return Pi1Verdict("undetermined", None, "budget-exhausted")
-    group = twist_rim_presentation(p.reduced, d, m)
-    return cyclic_verdict(group, d, budget)
+    q = p.reduced
+    _require_zero_exponent_sums(q)
+    g = gcd(d, m)
+    if g > budget:
+        return Pi1Verdict("undetermined", None, "budget-exhausted")
+    quotient = replace(q, relators=q.relators + (power(q.meridian, g),))
+    verdict = cyclic_verdict(quotient, g, budget)
+    return verdict if verdict.order is None else replace(verdict, order=verdict.order * d // g)
 
 
 def classify(

@@ -112,14 +112,21 @@ def test_pi1_text_and_strict():
 
 
 def test_budget_bounds_the_kernel_certificates(monkeypatch):
-    # no table of 1000 cosets closes on a group that maps onto Z/d with
-    # d > 1000, so pi1 and classify answer without building the twist-rim
-    # group and its d-letter relator, in no time even at d = 1e9
-    monkeypatch.setattr(rt.surgery, "twist_rim_presentation", None)
+    # pi1 is decided on G_K/<<mu^g>>, g = gcd(d, m): at m = 2 that is G_2,
+    # a group of order 6, whatever d is
     code, out, _ = _run(["pi1", "T(2,3)", "--d", "200000", "--m", "2", "--budget", "1000"])
+    assert (code, out) == (0, "finite of order 600000 (certificate: coset-enumeration)\n")
+    code, out, _ = _run(["pi1", "T(2,3)", "--d", "1000000000", "--m", "2", "--budget", "1000"])
+    assert (code, out) == (0, "finite of order 3000000000 (certificate: coset-enumeration)\n")
+    # with m = 0 or m = d, g = d: no table of 1000 cosets closes on a group
+    # that maps onto Z/g with g > 1000, so pi1 and classify answer without
+    # building the g-letter relator mu^g, in no time even at d = 1e9
+    monkeypatch.setattr(rt.surgery, "power", None)
+    code, out, _ = _run(["pi1", "T(2,3)", "--d", "200000", "--m", "0", "--budget", "1000"])
     assert (code, out) == (0, "undetermined (budget-exhausted)\n")
     start = time.perf_counter()
-    code, out, _ = _run(["classify", "T(2,3)", "--d", "1000000000", "--m", "2", "--budget", "1000"])
+    argv = ["classify", "T(2,3)", "--d", "1000000000", "--m", "1000000000", "--budget", "1000"]
+    code, out, _ = _run(argv)
     assert code == 0 and "pi1: undetermined (budget-exhausted)" in out, out
     assert time.perf_counter() - start < 1
 
@@ -128,7 +135,7 @@ def test_tower_roots_of_large_degree():
     # the index-d kernel K is a root of the tower at any d up to the budget,
     # however large its index: shift actions on 302 and 260 points must end
     # in a verdict, not exit 2
-    code, out, _ = _run(["pi1", "T(2,3)#mirror(T(2,3))", "--d", "302", "--m", "4"])
+    code, out, _ = _run(["pi1", "T(2,3)#mirror(T(2,3))", "--d", "302", "--m", "302"])
     assert (code, out) == (0, "undetermined (infinite-subgroup-homology)\n")
     code, out, _ = _run(["pi1", "braid(3; 1 -2 1 -2)", "--d", "260", "--m", "260"])
     assert (code, out) == (0, "undetermined (kernel-homology)\n")
@@ -136,6 +143,15 @@ def test_tower_roots_of_large_degree():
     # is taken as a root all the same
     code, out, _ = _run(["pi1", "T(2,3)", "--d", "600", "--m", "600"])
     assert (code, out) == (0, "undetermined (infinite-cover-homology)\n")
+
+
+def test_pi1_at_large_d_reads_the_central_quotient():
+    # g = gcd(20000, 6) = 2, so the answer is 10000 times the order of G_2,
+    # where the twist-rim group itself would take minutes to enumerate
+    start = time.perf_counter()
+    code, out, _ = _run(["pi1", "T(2,3)", "--d", "20000", "--m", "6"])
+    assert (code, out) == (0, "finite of order 60000 (certificate: coset-enumeration)\n")
+    assert time.perf_counter() - start < 2
 
 
 def test_budget_rejected_on_every_input():

@@ -1,5 +1,6 @@
 import inspect
 import json
+import pathlib
 import tracemalloc
 from collections import Counter
 from math import gcd
@@ -17,6 +18,8 @@ from rimtwist.groups import (
 from rimtwist.surgery import determine_pi1
 from rimtwist.words import power
 from helpers import FIGURE_EIGHT, SMALL_CORPUS, TREFOIL, TREFOIL_SUM
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def test_params_validation():
@@ -374,8 +377,8 @@ def _strength(verdict):
 
 def test_determine_pi1_matches_wirtinger_route():
     # the oracle enumerates the twist-rim group on the Wirtinger generators,
-    # with the full-m twist relators and no certificate; production
-    # enumerates it on the reduced presentation, with the m mod d relators,
+    # with the full-m twist relators and no certificate; production decides
+    # its quotient G_K/<<mu^g>>, g = gcd(d, m), on the reduced presentation,
     # after the kernel, cover-tower and subgroup checks.  A decided verdict
     # never changes, and no verdict gets weaker
     knots = [k for _, k in SMALL_CORPUS] + [rt.parse_knot("T(2,7)"), rt.parse_knot("T(3,5)")]
@@ -481,26 +484,71 @@ def test_pi1_cover_tower_certificates(monkeypatch):
 
 
 def test_determine_pi1_fails_fast_when_d_exceeds_the_budget():
-    # a knot's twist-rim group maps onto its abelianization Z/d, so no table
-    # of fewer than d cosets closes: the verdict is the one that enumerating
-    # the group would reach, found without building it
+    # pi1 is decided on G_g = G_K/<<mu^g>>, g = gcd(d, m), which maps onto
+    # Z/g, so no table of fewer than g cosets closes: for g > budget the
+    # verdict is the one that enumerating the twist-rim group would reach,
+    # found without building either group
     budget = 12
     for _, knot in SMALL_CORPUS:
         p = rt.presentation_of_knot(knot)
         for d in range(budget + 1, 2 * budget + 1):
-            for m in (0, 4, d + 2, -5):
-                if congruent_pm1(d, m):
-                    continue
+            for m in (0, d, 2 * d, -d):
                 group = rt.twist_rim_presentation(p.reduced, d, m)
                 want = rt.surgery.cyclic_verdict(group, d, budget)
                 assert want == Pi1Verdict("undetermined", None, "budget-exhausted")
                 assert determine_pi1(p, d, m, budget) == (want, False), (rt.render(knot), d, m)
-    # <a, b | a b^-2> abelianizes to Z, but a is twice a generator, so its
-    # twist-rim group abelianizes to Z/2d: no shortcut for it
+    # <a, b | a b^-2> abelianizes to Z, but its relator has exponent sum -1,
+    # so its group has no map onto Z/d that sends every generator to 1, and
+    # mu^g need not have order d/g: it is refused, as alexander refuses it
     doubled = GroupPresentation(("a", "b"), ((1, -2, -2),), 1)
-    assert determine_pi1(doubled, 20, 4, budget) == (
-        Pi1Verdict("undetermined", None, "abelianization-mismatch"), True
-    )
+    with pytest.raises(ValueError, match="nonzero total exponent"):
+        determine_pi1(doubled, 20, 4, budget)
+
+
+def test_determine_pi1_depends_on_m_through_gcd():
+    # the twist-rim group depends on m only through g = gcd(d, m): every m
+    # with the same g gets the same verdict, congruence or not
+    for _, knot in SMALL_CORPUS:
+        p = rt.presentation_of_knot(knot)
+        for d in range(2, 8):
+            by_g = {}
+            for m in range(-d, 2 * d + 1):
+                verdict = determine_pi1(p, d, m, 50000)[0]
+                if verdict.certificate == "congruence":
+                    verdict = Pi1Verdict("cyclic", d, "coset-enumeration")
+                assert by_g.setdefault(gcd(d, m), verdict) == verdict, (rt.render(knot), d, m)
+
+
+def test_verdict_grid_obeys_the_central_quotient_lemma():
+    # the golden grid enumerates the twist-rim groups themselves; on every
+    # line (knot, d, t) with g = gcd(d, t), the verdict is Z/d when g = 1,
+    # and otherwise the verdict of (knot, g, 0), G_g itself, with its order
+    # multiplied by d/g.  The figure-eight at (10, 5) is the one exception:
+    # the grid reads kernel-homology there, and G_5 is proven infinite
+    grid = {}
+    for line in (GOLDEN / "verdict_grid.txt").read_text().splitlines():
+        knot, d, t, verdict = line.split("\t")
+        grid[knot, int(d), int(t)] = verdict
+    assert len(grid) == 539
+    exceptions = []
+    for (knot, d, t), verdict in grid.items():
+        g = gcd(d, t)
+        if g == 1:
+            assert verdict == f"Z/{d} (certificate: coset-enumeration)", (knot, d, t)
+            continue
+        want = grid[knot, g, 0]
+        if want.startswith("finite of order "):
+            order = int(want.split()[3])
+            want = want.replace(f"order {order} ", f"order {order * d // g} ")
+        if verdict != want:
+            exceptions.append((knot, d, t, verdict, want))
+    assert exceptions == [
+        (
+            "braid(3; 1 -2 1 -2)", 10, 5,
+            "undetermined (kernel-homology)",
+            "undetermined (infinite-subgroup-homology)",
+        )
+    ]
 
 
 def test_determine_pi1_decides_more_on_the_reduced_presentation():
